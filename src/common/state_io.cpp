@@ -94,6 +94,16 @@ std::string StateReader::str() {
   return s;
 }
 
+std::size_t StateReader::count(std::size_t min_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_bytes) {
+    throw std::runtime_error("snapshot: element count " + std::to_string(n) +
+                             " overruns the remaining " + std::to_string(remaining()) +
+                             " payload byte(s)");
+  }
+  return static_cast<std::size_t>(n);
+}
+
 void StateReader::section(std::uint32_t tag) {
   const std::uint32_t got = u32();
   if (got != (0x5EC70000u ^ tag)) {

@@ -109,6 +109,8 @@ class StateReader {
   StateReader(const std::uint8_t* data, std::size_t size);
   explicit StateReader(const std::vector<std::uint8_t>& data)
       : StateReader(data.data(), data.size()) {}
+  /// A temporary buffer would die before the reader is done with it.
+  explicit StateReader(std::vector<std::uint8_t>&& data) = delete;
 
   [[nodiscard]] std::uint8_t u8() {
     need(1);
@@ -137,6 +139,7 @@ class StateReader {
   }
   void bytes(void* out, std::size_t n) {
     need(n);
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
@@ -151,11 +154,15 @@ class StateReader {
   void pod_vec(std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     check_record_size(u32(), sizeof(T));
-    const std::uint64_t n = u64();
-    need(n * sizeof(T));
+    const std::size_t n = count(sizeof(T));
     v.resize(n);
     bytes(v.data(), n * sizeof(T));
   }
+  /// Element count of a length-prefixed sequence whose elements take at
+  /// least `min_bytes` each on the wire.  Throws when the rest of the
+  /// payload cannot hold that many, so a bad count never sizes an
+  /// allocation.
+  [[nodiscard]] std::size_t count(std::size_t min_bytes);
   /// Consume a section marker; throws naming the tag on mismatch.
   void section(std::uint32_t tag);
   void skip(std::size_t n) {

@@ -8,7 +8,15 @@
 // highest-scoring task is placed and the process repeats until nothing
 // fits.  This is the "a + eps * p" combination the paper's Fig. 2
 // walkthrough describes, with delta as the published default weight.
+//
+// Servers are swept in id order, and the sweep ends as soon as no live
+// candidate (a non-gang runnable phase of an unfinished job with
+// unscheduled tasks) remains.  This is exact: sim time stands still inside
+// one call, so only place_copy changes a candidate and it only lowers
+// unscheduled_tasks; every later server would have found nothing to place.
 #pragma once
+
+#include <cstddef>
 
 #include "dollymp/sched/scheduler.h"
 
@@ -30,8 +38,13 @@ class TetrisScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "tetris"; }
   void schedule(SchedulerContext& ctx) override;
 
+  /// Servers the most recent schedule() call visited before its sweep
+  /// ended (diagnostic; never feeds a decision).
+  [[nodiscard]] std::size_t servers_swept() const { return servers_swept_; }
+
  private:
   TetrisConfig config_;
+  std::size_t servers_swept_ = 0;
 };
 
 }  // namespace dollymp

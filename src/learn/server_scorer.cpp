@@ -70,7 +70,7 @@ void ServerScorer::save_state(StateWriter& w) const {
 }
 
 void ServerScorer::load_state(StateReader& r) {
-  states_.assign(r.u64(), State{});
+  states_.assign(r.count(8 + 8 + 8), State{});
   for (State& s : states_) {
     s.ewma = r.f64();
     s.weight = r.f64();

@@ -26,16 +26,25 @@ double remaining_work(const JobRuntime& job, const Resources& total) {
   return work;
 }
 
+/// True when the phase can still hand a task to the packing loop.  Gang
+/// phases never can: next_unscheduled_task refuses them.
+bool is_live(const JobRuntime& job, const PhaseRuntime& phase) {
+  return !job.finished && phase.runnable() && !phase.spec->gang &&
+         phase.unscheduled_tasks > 0;
+}
+
 }  // namespace
 
 void TetrisScheduler::schedule(SchedulerContext& ctx) {
+  servers_swept_ = 0;
   const Resources total = ctx.cluster().total_capacity();
 
   // Gather candidate phases (all tasks within a phase share demand and
   // duration, so a phase is one candidate) and the jobs' remaining work.
   std::vector<Candidate> candidates;
   double max_work = 0.0;
-  std::vector<double> work_of;
+  // Candidates that can still hand out a task; the sweep ends at zero.
+  std::size_t live = 0;
   for (JobRuntime* job : ctx.active_jobs()) {
     // Gang phases cannot enter the per-server packing loop (they place as
     // one atomic wave), so offer them up front in arrival order.
@@ -45,9 +54,10 @@ void TetrisScheduler::schedule(SchedulerContext& ctx) {
     for (auto& phase : job->phases) {
       if (!phase.runnable()) continue;
       candidates.push_back({job, &phase, work});
+      if (is_live(*job, phase)) ++live;
     }
   }
-  if (candidates.empty()) return;
+  if (live == 0) return;
   for (auto& c : candidates) {
     c.remaining_norm = max_work > 0.0 ? 1.0 - c.remaining_norm / max_work : 0.0;
   }
@@ -59,7 +69,10 @@ void TetrisScheduler::schedule(SchedulerContext& ctx) {
   // nudge the Tetris paper describes.  Larger, better-aligned demands score
   // higher on an empty machine — the property behind the paper's Fig. 2
   // walkthrough where the full-server job is scheduled first.
+  // The sweep stops once no candidate is live (why that is exact: tetris.h).
   for (const auto& server : ctx.cluster().servers()) {
+    if (live == 0) break;
+    ++servers_swept_;
     for (;;) {
       Candidate* best = nullptr;
       TaskRuntime* best_task = nullptr;
@@ -82,6 +95,7 @@ void TetrisScheduler::schedule(SchedulerContext& ctx) {
       }
       if (best == nullptr) break;
       if (!ctx.place_copy(*best->job, *best->phase, *best_task, server.id())) break;
+      if (best->phase->unscheduled_tasks == 0 && --live == 0) break;
     }
   }
 }

@@ -42,13 +42,20 @@ void save_job_spec(StateWriter& w, const JobSpec& spec) {
   }
 }
 
+/// Smallest encoding save_job_spec gives one phase: empty name, task
+/// count, demand record, theta, sigma, gang flag, empty parent list.
+constexpr std::size_t kMinPhaseBytes = 8 + 4 + (4 + sizeof(Resources)) + 8 + 8 + 1 + (4 + 8);
+/// Smallest encoding of one job spec: id, empty name and app, arrival,
+/// phase count.
+constexpr std::size_t kMinJobSpecBytes = 4 + 8 + 8 + 8 + 8;
+
 JobSpec load_job_spec(StateReader& r) {
   JobSpec spec;
   spec.id = r.i32();
   spec.name = r.str();
   spec.app = r.str();
   spec.arrival_seconds = r.f64();
-  spec.phases.resize(r.u64());
+  spec.phases.resize(r.count(kMinPhaseBytes));
   for (PhaseSpec& ps : spec.phases) {
     ps.name = r.str();
     ps.task_count = r.i32();
@@ -1289,7 +1296,7 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   background_.load_state(r);
 
   r.section(kTagSpecs);
-  const std::size_t slot_count = static_cast<std::size_t>(r.u64());
+  const std::size_t slot_count = r.count(kMinJobSpecBytes);
   if (shared_specs != nullptr && shared_specs->size() != slot_count) {
     throw std::runtime_error("snapshot: shared spec table size mismatch");
   }
@@ -1311,12 +1318,27 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   store_.load_state(r, specs);
 
   r.section(kTagArrivals);
-  arrival_order_.resize(static_cast<std::size_t>(r.u64()));
-  for (auto& index : arrival_order_) index = r.i32();
+  const auto job_index = [&](const char* what) {
+    const std::int32_t index = r.i32();
+    if (index < 0 || static_cast<std::size_t>(index) >= jobs_.size()) {
+      throw std::runtime_error(std::string("snapshot: ") + what + " job index " +
+                               std::to_string(index) + " outside the " +
+                               std::to_string(jobs_.size()) + " job slots");
+    }
+    return index;
+  };
+  arrival_order_.resize(r.count(sizeof(std::int32_t)));
+  for (auto& index : arrival_order_) index = job_index("pending arrival");
   next_arrival_ = 0;
-  active_.resize(static_cast<std::size_t>(r.u64()));
+  const std::size_t active_count = r.count(sizeof(std::int32_t));
+  if (active_count > jobs_.size()) {
+    throw std::runtime_error("snapshot: " + std::to_string(active_count) +
+                             " active jobs exceed the " + std::to_string(jobs_.size()) +
+                             " job slots");
+  }
+  active_.resize(active_count);
   for (auto& job : active_) {
-    job = jobs_.data() + static_cast<std::size_t>(r.i32());
+    job = jobs_.data() + job_index("active");
   }
 
   r.section(kTagHeap);

@@ -2,6 +2,10 @@
 // integration into DollyMP (the paper's Section 8 future work).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
+#include "dollymp/common/state_io.h"
 #include "dollymp/learn/server_scorer.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sim/simulator.h"
@@ -65,6 +69,15 @@ TEST(ServerScorer, BoundsChecking) {
   EXPECT_THROW(scorer.observe(-1, 1.0, 1.0), std::out_of_range);
   EXPECT_THROW((void)scorer.estimated_slowdown(5), std::out_of_range);
   EXPECT_THROW((void)scorer.samples(5), std::out_of_range);
+}
+
+TEST(ServerScorer, LoadRejectsServerCountPastPayload) {
+  StateWriter w;
+  w.u64(std::uint64_t{1} << 60);
+  const auto bytes = w.finish();
+  StateReader r(bytes);
+  ServerScorer scorer(2);
+  EXPECT_THROW(scorer.load_state(r), std::runtime_error);
 }
 
 TEST(ServerScorer, ConfigValidation) {

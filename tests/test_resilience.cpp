@@ -4,10 +4,13 @@
 // index-vs-linear equivalence fuzz while quarantine churns candidacy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
+#include "dollymp/common/state_io.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sched/resilience.h"
 #include "dollymp/sim/simulator.h"
@@ -252,6 +255,30 @@ DollyMPConfig resilient_config() {
   DollyMPConfig config;
   config.resilience.enabled = true;
   return config;
+}
+
+TEST(Resilience, LoadRejectsBackoffCountPastPayload) {
+  ResilienceConfig config;
+  config.enabled = true;
+  const ResiliencePolicy saved(config, 4);
+  StateWriter w;
+  saved.save_state(w);
+  auto sealed = w.finish();
+  // Payload between the 21-byte envelope header and the 8-byte hash; its
+  // last field is the (empty) backoff table's entry count, set here to
+  // 2^40 (a table that size cannot be reserved).
+  std::vector<std::uint8_t> payload(sealed.begin() + 21, sealed.end() - 8);
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (int i = 0; i < 8; ++i) {
+    payload[payload.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  StateWriter resealed;
+  resealed.bytes(payload.data(), payload.size());
+  const auto bytes = resealed.finish();
+  StateReader r(bytes);
+  ResiliencePolicy loaded(config, 4);
+  EXPECT_THROW(loaded.load_state(r), std::runtime_error);
 }
 
 TEST(ResilienceEndToEnd, BackoffStatsSurfaceInSimStats) {

@@ -362,6 +362,108 @@ TEST(ServiceCheckpoint, RejectsCorruptedAndTruncatedSnapshots) {
   }
 }
 
+/// Offset just past the first occurrence of section marker `tag` in a
+/// DMPCKPT01 payload.
+std::size_t after_section(const std::vector<std::uint8_t>& payload, std::uint32_t tag) {
+  const std::uint32_t marker = 0x5EC70000u ^ tag;
+  std::uint8_t le[4];
+  for (int i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(marker >> (8 * i));
+  const auto it = std::search(payload.begin(), payload.end(), le, le + 4);
+  if (it == payload.end()) throw std::logic_error("section marker not found");
+  return static_cast<std::size_t>(it - payload.begin()) + 4;
+}
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& payload, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(payload[at + static_cast<std::size_t>(i)]) << (8 * i);
+  }
+  return v;
+}
+
+void put_u64(std::vector<std::uint8_t>& payload, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    payload[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void put_i32(std::vector<std::uint8_t>& payload, std::size_t at, std::int32_t v) {
+  const auto u = static_cast<std::uint32_t>(v);
+  for (int i = 0; i < 4; ++i) {
+    payload[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(u >> (8 * i));
+  }
+}
+
+/// Seal `payload` in a fresh envelope (valid hash), write it and restore
+/// from it; the restore must throw a typed snapshot error.
+void expect_snapshot_error(const std::vector<std::uint8_t>& payload, const ServiceConfig& config,
+                           const std::string& name) {
+  StateWriter w;
+  w.bytes(payload.data(), payload.size());
+  const std::string path = temp_path(name);
+  write_state_file(path, w.finish());
+  try {
+    (void)Session::restore(Cluster::paper30(), config, path);
+    ADD_FAILURE() << name << ": restore accepted a structurally bad payload";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot:", 0), 0u) << e.what();
+  }
+}
+
+TEST(ServiceCheckpoint, ResealedHugeCountsAndBadIndicesThrowTypedErrors) {
+  const ServiceConfig config = service_config("dollymp2", false, 1);
+  Session session(Cluster::paper30(), config);
+  session.run_until(kT1);
+  const std::vector<std::uint8_t> sealed = session.serialize();
+  // Envelope: 9-byte magic, u32 version, u64 length, payload, u64 hash.
+  const std::size_t header = 9 + 4 + 8;
+  const std::vector<std::uint8_t> payload(sealed.begin() + static_cast<std::ptrdiff_t>(header),
+                                          sealed.end() - 8);
+
+  // First job spec: id, name, app, arrival, then the phase count.
+  std::size_t phases_at = after_section(payload, 0x53504543u) + 8 + 4;  // 'SPEC'
+  phases_at += 8 + get_u64(payload, phases_at);
+  phases_at += 8 + get_u64(payload, phases_at);
+  phases_at += 8;
+  const std::uint64_t phases = get_u64(payload, phases_at);
+  ASSERT_GE(phases, 1u);
+  ASSERT_LE(phases, 64u) << "phase-count offset is off";
+
+  // Arrivals section: pending-arrival count and indices, then the active
+  // count and indices.
+  const std::size_t arrivals_at = after_section(payload, 0x41525256u);  // 'ARRV'
+  const std::size_t active_at = arrivals_at + 8 + 4 * get_u64(payload, arrivals_at);
+  const std::uint64_t active = get_u64(payload, active_at);
+  ASSERT_GE(active, 1u) << "the checkpoint must hold an active job";
+  ASSERT_LE(active, static_cast<std::uint64_t>(session.totals().jobs_ingested));
+
+  {
+    // The resealed, unmodified payload restores: the offsets above are the
+    // only thing the cases below change.
+    StateWriter w;
+    w.bytes(payload.data(), payload.size());
+    const std::string path = temp_path("dollymp_service_reseal_ok.ckpt");
+    write_state_file(path, w.finish());
+    EXPECT_NO_THROW((void)Session::restore(Cluster::paper30(), config, path));
+  }
+  {
+    auto bad = payload;
+    put_u64(bad, phases_at, std::uint64_t{1} << 60);
+    expect_snapshot_error(bad, config, "dollymp_service_huge_phases.ckpt");
+  }
+  {
+    auto bad = payload;
+    put_u64(bad, active_at, std::uint64_t{1} << 60);
+    expect_snapshot_error(bad, config, "dollymp_service_huge_active.ckpt");
+  }
+  for (const std::int32_t index : {-1, 1 << 30}) {
+    auto bad = payload;
+    put_i32(bad, active_at + 8, index);
+    expect_snapshot_error(bad, config,
+                          "dollymp_service_bad_active_" + std::to_string(index) + ".ckpt");
+  }
+}
+
 // ---- what-if forks ----------------------------------------------------------
 
 TEST(ServiceFork, SamePolicyForkReplaysParentsFutureAndLeavesParentAlone) {

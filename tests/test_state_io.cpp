@@ -126,6 +126,35 @@ TEST(StateIo, ReadPastEndThrows) {
   EXPECT_THROW((void)r.u8(), std::runtime_error);
 }
 
+TEST(StateIo, PodVecCountThatWrapsTheByteSizeThrows) {
+  // 2^62 four-byte elements is 2^64 bytes, which wraps to 0 in size_t: the
+  // count itself must be checked against the payload, not its byte size.
+  StateWriter w;
+  w.u32(static_cast<std::uint32_t>(sizeof(std::int32_t)));
+  w.u64(std::uint64_t{1} << 62);
+  w.u32(7);
+  const auto bytes = w.finish();
+  StateReader r(bytes);
+  std::vector<std::int32_t> v;
+  EXPECT_THROW(r.pod_vec(v), std::runtime_error);
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(StateIo, CountBoundedByRemainingPayload) {
+  StateWriter w;
+  w.u64(3);
+  w.u32(1);
+  w.u32(2);
+  w.u32(3);
+  w.u64(4);
+  w.u32(1);
+  const auto bytes = w.finish();
+  StateReader r(bytes);
+  EXPECT_EQ(r.count(4), 3u);
+  for (int i = 0; i < 3; ++i) (void)r.u32();
+  EXPECT_THROW((void)r.count(4), std::runtime_error);
+}
+
 TEST(StateIo, ExpectDoneThrowsOnTrailingBytes) {
   StateWriter w;
   w.u32(1);
@@ -198,7 +227,8 @@ TEST(StateIo, AtomicWriteLeavesNoTempFile) {
   w.u32(99);
   write_state_file(path, w.finish());
   EXPECT_FALSE(file_exists(path + ".tmp"));
-  StateReader r(read_state_file(path));
+  const auto bytes = read_state_file(path);
+  StateReader r(bytes);
   EXPECT_EQ(r.u32(), 99u);
   std::remove(path.c_str());
 }
@@ -231,9 +261,11 @@ TEST(StateIo, RotationKeepsTwoGenerationsAndPicksLatest) {
   StateWriter w2;
   w2.u32(2);
   rotation.write(w2.finish());
-  StateReader latest(read_state_file(rotation.latest_path()));
+  const auto latest_bytes = read_state_file(rotation.latest_path());
+  StateReader latest(latest_bytes);
   EXPECT_EQ(latest.u32(), 2u);
-  StateReader prev(read_state_file(rotation.previous_path()));
+  const auto prev_bytes = read_state_file(rotation.previous_path());
+  StateReader prev(prev_bytes);
   EXPECT_EQ(prev.u32(), 1u);
   EXPECT_EQ(rotation.newest_valid(), rotation.latest_path());
   EXPECT_EQ(rotation.quarantined_count(), 0);
