@@ -93,7 +93,9 @@ PlacementIndex::RackClassBucket& PlacementIndex::bucket_of(ServerId id) {
 std::int32_t PlacementIndex::group_for(ResourceClass& cls, const Resources& used) {
   // Exact per-dimension key (see the equality-policy note in resources.h):
   // lexicographic over all dimensions, which reproduces the historical
-  // (cpu, mem) pair ordering when the extra dimensions are all zero.
+  // (cpu, mem) pair ordering when the extra dimensions are all zero.  The
+  // map and the pool only grow; a slot created here costs queries nothing
+  // once it drains, because they walk the active list alone.
   const std::array<double, Resources::kMaxDims>& key = used.dims;
   const auto it = cls.lookup.find(key);
   if (it != cls.lookup.end()) return it->second;
@@ -102,60 +104,7 @@ std::int32_t PlacementIndex::group_for(ResourceClass& cls, const Resources& used
   group.used = used;
   cls.groups.push_back(std::move(group));
   cls.lookup.emplace(key, gid);
-  // A new pool slot is the one event that can add a candidate the batched
-  // walks have not captured; everything else only churns member lists.
-  ++pool_generation_;
   return gid;
-}
-
-void PlacementIndex::set_batching(bool on) {
-  batching_ = on;
-  if (on) {
-    batch_.resize(kBatchSlots);
-  } else {
-    batch_.clear();
-    batch_.shrink_to_fit();
-  }
-  for (auto& cache : batch_) cache.valid = false;
-  batch_clock_ = 0;
-}
-
-const PlacementIndex::BatchCache& PlacementIndex::batched_walk(
-    const Resources& demand) const {
-  BatchCache* slot = nullptr;
-  for (auto& cache : batch_) {
-    if (cache.valid && cache.demand == demand) {
-      slot = &cache;
-      break;
-    }
-  }
-  if (slot != nullptr && slot->generation == pool_generation_) {
-    ++counters_.batch_hits;
-    return *slot;
-  }
-  if (slot == nullptr) {
-    slot = &batch_[batch_clock_];
-    batch_clock_ = (batch_clock_ + 1) % batch_.size();
-  }
-  ++counters_.batch_rebuilds;
-  slot->demand = demand;
-  slot->generation = pool_generation_;
-  slot->valid = true;
-  slot->entries.clear();
-  // Capture every pool group — active or drained — that fits: fit and score
-  // depend only on the slot's immutable used vector, so a group draining
-  // and refilling later is still answered by this walk.
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    const ResourceClass& cls = classes_[c];
-    if (!demand.fits_within(cls.capacity)) continue;
-    for (std::size_t g = 0; g < cls.groups.size(); ++g) {
-      const Group& group = cls.groups[g];
-      if (!group_fits(group.used, demand, cls.capacity)) continue;
-      slot->entries.push_back({static_cast<std::int32_t>(c), static_cast<std::int32_t>(g),
-                               demand.dot(group_free(cls.capacity, group.used))});
-    }
-  }
-  return *slot;
 }
 
 void PlacementIndex::add_member(ResourceClass& cls, std::int32_t gid, ServerId id) {
@@ -255,23 +204,6 @@ ServerId PlacementIndex::best_fit(const Resources& demand) const {
   ++counters_.queries;
   ServerId best = kInvalidServer;
   double best_score = -1.0;
-  if (batching_) {
-    // Replay the cached walk: drained groups drop out via members.empty(),
-    // so the candidate set is exactly the active fitting groups and the
-    // precomputed scores are the unbatched expressions — same winner.
-    for (const BatchEntry& e : batched_walk(demand).entries) {
-      const Group& group =
-          classes_[static_cast<std::size_t>(e.cls)].groups[static_cast<std::size_t>(e.gid)];
-      if (group.members.empty()) continue;
-      ++counters_.servers_scanned;
-      const ServerId id = group.members.back();
-      if (beats(e.score, id, best_score, best)) {
-        best_score = e.score;
-        best = id;
-      }
-    }
-    return best;
-  }
   for (const auto& cls : classes_) {
     if (!demand.fits_within(cls.capacity)) continue;
     for (std::int32_t gid = cls.active_head; gid != kNoGroup;
@@ -293,17 +225,6 @@ ServerId PlacementIndex::best_fit(const Resources& demand) const {
 ServerId PlacementIndex::first_fit(const Resources& demand) const {
   ++counters_.queries;
   ServerId best = kInvalidServer;
-  if (batching_) {
-    for (const BatchEntry& e : batched_walk(demand).entries) {
-      const Group& group =
-          classes_[static_cast<std::size_t>(e.cls)].groups[static_cast<std::size_t>(e.gid)];
-      if (group.members.empty()) continue;
-      ++counters_.servers_scanned;
-      const ServerId id = group.members.back();
-      if (best == kInvalidServer || id < best) best = id;
-    }
-    return best;
-  }
   for (const auto& cls : classes_) {
     if (!demand.fits_within(cls.capacity)) continue;
     for (std::int32_t gid = cls.active_head; gid != kNoGroup;
@@ -390,25 +311,15 @@ ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
     // maximum under `beats` equal to the full linear scan's winner.  (A
     // replica that is also a group representative appears twice, but its
     // boosted entry dominates its plain one, so the duplicate is inert.)
-    if (batching_) {
-      for (const BatchEntry& e : batched_walk(demand).entries) {
-        const Group& group = classes_[static_cast<std::size_t>(e.cls)]
-                                 .groups[static_cast<std::size_t>(e.gid)];
-        if (group.members.empty()) continue;
+    for (const auto& cls : classes_) {
+      if (!demand.fits_within(cls.capacity)) continue;
+      for (std::int32_t gid = cls.active_head; gid != kNoGroup;
+           gid = cls.groups[static_cast<std::size_t>(gid)].next) {
+        const Group& group = cls.groups[static_cast<std::size_t>(gid)];
         ++counters_.servers_scanned;
-        consider(group.members.back(), e.score);
-      }
-    } else {
-      for (const auto& cls : classes_) {
-        if (!demand.fits_within(cls.capacity)) continue;
-        for (std::int32_t gid = cls.active_head; gid != kNoGroup;
-             gid = cls.groups[static_cast<std::size_t>(gid)].next) {
-          const Group& group = cls.groups[static_cast<std::size_t>(gid)];
-          ++counters_.servers_scanned;
-          if (!group_fits(group.used, demand, cls.capacity)) continue;
-          consider(group.members.back(),
-                   demand.dot(group_free(cls.capacity, group.used)));
-        }
+        if (!group_fits(group.used, demand, cls.capacity)) continue;
+        consider(group.members.back(),
+                 demand.dot(group_free(cls.capacity, group.used)));
       }
     }
     if (boost_block != nullptr) {

@@ -5,17 +5,18 @@
 // — fine at the paper's 30-node inventory, hopeless at the 30K-server trace
 // scale of Section 6.3.  PlacementIndex maintains, incrementally on every
 // allocation / release / failure / repair, a two-level grouping that answers
-// placement queries in time proportional to the number of *distinct
-// allocation states*, not the number of servers:
+// placement queries in time proportional to the number of *distinct live
+// allocation states* (never more than the up servers), not the number of
+// servers:
 //
 //   * Servers are partitioned into *resource classes* (exact capacity
 //     equality).  Trace inventories have a handful of machine shapes, so a
 //     demand that exceeds a class capacity skips the whole class.
 //   * Within a class, up servers are grouped by their exact used() vector.
-//     Every demand in the system lives on the trace model's grid (integral
-//     cores, 0.5 GB memory steps), so used vectors are sums of a small
-//     palette and the number of distinct values stays in the dozens even
-//     with 30,000 servers under churn.  All members of a group expose
+//     Task demands live on the trace model's grid (integral cores, 0.5 GB
+//     memory steps), so used vectors are sums of a small palette and the
+//     number of distinct values stays in the dozens even with 30,000
+//     servers under churn.  All members of a group expose
 //     value-identical free vectors, hence identical fit answers and
 //     identical best-fit scores: one evaluation per group decides every
 //     member at once, and the group's lowest id (members.back() — members are
@@ -25,7 +26,10 @@
 //     used vector to pool slot.  A drained group is unlinked from the
 //     active list but keeps its slot and its members vector's capacity, so
 //     steady-state maintenance — allocation churn revisiting the same used
-//     vectors — performs no heap allocation.
+//     vectors — performs no heap allocation.  Queries walk only the active
+//     list: off-grid demands (background load) make used vectors
+//     continuous and can leave thousands of drained slots behind on a
+//     30-server cluster, none of which a query visits.
 //   * A hierarchical rack -> capacity-class level serves the rack-local
 //     pass of locality_aware_server: each rack holds one member bucket per
 //     resource class present in it, with an up-count.  A demand that
@@ -88,22 +92,6 @@ class PlacementIndex {
     shard_stats_ = stats;
   }
 
-  /// Batched placement: accumulate the capacity-group walk for a demand
-  /// into a cached candidate list and replay it for every same-demand query
-  /// until the group pool grows.  A Group's used vector — and therefore its
-  /// per-demand fit answer and score — is immutable for the lifetime of its
-  /// pool slot; only its member list churns.  So one pass over the pool per
-  /// (demand, pool generation) captures every group that can ever fit, with
-  /// its score precomputed, and a query is a flat scan of that list
-  /// skipping currently-drained groups: the candidate set equals the
-  /// unbatched walk's (active fitting groups), scores are the identical
-  /// float expressions, and `beats` is enumeration-order independent —
-  /// bit-identical decisions, one capacity-group walk per wakeup batch
-  /// instead of one per task.  Off by default; the simulator wires
-  /// SimConfig::batch_placement through here.
-  void set_batching(bool on);
-  [[nodiscard]] bool batching() const { return batching_; }
-
   /// Per-server score multiplier used by weighted_best_fit (DollyMP's
   /// straggler-aware placement weight).  Defaults to 1.0 for every server.
   void set_multiplier(ServerId id, double weight);
@@ -143,12 +131,10 @@ class PlacementIndex {
 
   struct Counters {
     std::uint64_t queries = 0;          ///< placement queries answered
-    std::uint64_t servers_scanned = 0;  ///< candidate evaluations (group-level
-                                        ///< where groups collapse, per-server
-                                        ///< where they cannot)
+    std::uint64_t servers_scanned = 0;  ///< candidate evaluations: every active
+                                        ///< group walked where groups collapse,
+                                        ///< every member where they cannot
     std::uint64_t updates = 0;          ///< maintenance events applied
-    std::uint64_t batch_hits = 0;       ///< queries answered from a cached walk
-    std::uint64_t batch_rebuilds = 0;   ///< cached walks (re)built
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
@@ -175,25 +161,6 @@ class PlacementIndex {
     std::int32_t active_head = kNoGroup;  ///< list of groups with members
   };
 
-  /// One precomputed candidate of a batched walk: pool-slot indices (the
-  /// groups vector reallocates as the pool grows, so no pointers) plus the
-  /// immutable per-demand score.
-  struct BatchEntry {
-    std::int32_t cls;
-    std::int32_t gid;
-    double score;  ///< demand.dot(group_free(capacity, used))
-  };
-  /// Cached capacity-group walk for one exact demand, valid for one pool
-  /// generation (group creation invalidates: a new group could fit).
-  struct BatchCache {
-    Resources demand;
-    std::uint64_t generation = 0;
-    bool valid = false;
-    std::vector<BatchEntry> entries;  ///< capacity kept across rebuilds
-  };
-  /// The cached walk for `demand`, rebuilt on miss or stale generation.
-  [[nodiscard]] const BatchCache& batched_walk(const Resources& demand) const;
-
   /// Pool slot for `used`, creating the group on first sight.
   [[nodiscard]] std::int32_t group_for(ResourceClass& cls, const Resources& used);
   void add_member(ResourceClass& cls, std::int32_t gid, ServerId id);
@@ -207,17 +174,6 @@ class PlacementIndex {
   std::vector<std::int32_t> group_of_;  // server -> pool slot; kNoGroup = down
   std::vector<double> multiplier_;
   int nonneutral_ = 0;  // count of multipliers != 1.0 (0 => groups collapse)
-
-  bool batching_ = false;
-  /// Bumped whenever any class's group pool grows — the sole event that can
-  /// add a candidate a cached walk does not know about.
-  std::uint64_t pool_generation_ = 0;
-  /// A handful of demand-keyed slots with round-robin eviction: the task
-  /// demands in flight per wakeup come from a small palette (the trace
-  /// model's grid), so this stays effectively fully associative.
-  static constexpr std::size_t kBatchSlots = 8;
-  mutable std::vector<BatchCache> batch_;
-  mutable std::size_t batch_clock_ = 0;  ///< next slot to evict
 
   /// One capacity class's members within one rack: the hierarchical
   /// rack -> class level.  Member lists are static (built once, ascending);

@@ -109,18 +109,16 @@ struct SimStats {
   long long rejected_no_capacity = 0;        ///< server down or lacks resources
 
   // Placement-index effectiveness (all zero when the index is disabled):
-  // queries answered, servers actually score-evaluated across them (the
-  // "rescan" cost an unindexed run would pay per query times the fleet
-  // size), and maintenance updates applied.
+  // queries answered, candidates evaluated across them — every active
+  // capacity group a query walks where groups collapse, every member where
+  // they cannot (compare with queries times the fleet size, the rescan cost
+  // of an unindexed run) — and maintenance updates applied.
   long long index_queries = 0;
   long long index_servers_scanned = 0;
   long long index_updates = 0;
-  // Batched placement (SimConfig::batch_placement; zero when off or the
-  // index is disabled): queries answered by replaying a cached
-  // capacity-group walk vs walks (re)built.  Deterministic and
-  // thread-count-independent, like the three counters above.
+  // Always 0: batched placement was removed, but the end-to-end benchmark
+  // still reads this field.
   long long index_batch_hits = 0;
-  long long index_batch_rebuilds = 0;
 
   // Deterministic parallel scheduling core (all zero when SimConfig::threads
   // <= 1): sharded scans dispatched to the worker pool, shards and items

@@ -189,13 +189,6 @@ struct SimConfig {
   /// in [1, 64]; 1 degenerates to one heap.
   int event_shards = 8;
 
-  /// Accumulate placement queries into the PlacementIndex's pool-group
-  /// batch cache: repeated same-demand queries within one capacity-group
-  /// generation reuse one precomputed group walk instead of re-walking the
-  /// class lists per task.  Decision streams are bit-identical either way
-  /// (asserted by the equivalence matrix); off selects the unbatched walk.
-  bool batch_placement = true;
-
   /// Maintain an incremental PlacementIndex over the cluster and expose it
   /// through SchedulerContext::placement_index(), so the placement helpers
   /// stop scanning every server per copy placed.  Placement decisions are

@@ -139,7 +139,7 @@ std::string render_control_plane(const std::vector<RunSummary>& summaries) {
                       "shed", "ovl_level", "attempts", "placed",
                       "gangs", "gang_rb", "rack_split",
                       "rej_cap", "rej_full", "rej_other", "idx_query", "idx_scan",
-                      "idx_update", "idx_batch", "threads", "par_sect", "par_shards",
+                      "idx_update", "threads", "par_sect", "par_shards",
                       "par_widest", "arena", "rec",
                       "rec_evict", "rec_hash", "slab_acq", "slab_reuse",
                       "slab_blk", "B/server", "rss_mb", "wall_ms"});
@@ -187,9 +187,6 @@ std::string render_control_plane(const std::vector<RunSummary>& summaries) {
                    std::to_string(st.index_queries),
                    std::to_string(st.index_servers_scanned),
                    std::to_string(st.index_updates),
-                   // hits/rebuilds: a healthy batched run is hit-dominated.
-                   std::to_string(st.index_batch_hits) + "/" +
-                       std::to_string(st.index_batch_rebuilds),
                    // configured->resolved: "0>4" says threads=0 picked up 4
                    // hardware workers; "1>1" is the serial default.
                    std::to_string(st.threads_configured) + ">" +

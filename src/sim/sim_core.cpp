@@ -113,10 +113,7 @@ SimCore::SimCore(Cluster cluster, const SimConfig& config)
     pool_.emplace(static_cast<std::size_t>(config_.threads));
     if (pool_->size() < 2) pool_.reset();
   }
-  if (index_) {
-    index_->set_parallelism(worker_pool(), &parallel_stats_);
-    index_->set_batching(config_.batch_placement);
-  }
+  if (index_) index_->set_parallelism(worker_pool(), &parallel_stats_);
   events_.reset(static_cast<std::size_t>(config_.event_shards));
 }
 
@@ -310,8 +307,6 @@ SimResult SimCore::finish() {
     result_.stats.index_queries = index_->counters().queries;
     result_.stats.index_servers_scanned = index_->counters().servers_scanned;
     result_.stats.index_updates = index_->counters().updates;
-    result_.stats.index_batch_hits = index_->counters().batch_hits;
-    result_.stats.index_batch_rebuilds = index_->counters().batch_rebuilds;
   }
   {
     const CopySlab::Counters& slab = store_.copy_slab().counters();
@@ -1379,7 +1374,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   if (config_.use_placement_index) {
     index_.emplace(cluster_);
     index_->set_parallelism(worker_pool(), &parallel_stats_);
-    index_->set_batching(config_.batch_placement);
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
       const Server& server = cluster_.server(s);
       if (!server.is_down() && server.is_quarantined()) {

@@ -72,10 +72,8 @@ void SimConfig::validate() const {
   // sigma factor turns every derived time into NaN soup downstream.
   require(std::isfinite(slot_seconds), "SimConfig: slot_seconds must be finite");
   require(std::isfinite(sigma_factor), "SimConfig: sigma_factor must be finite");
-  // batch_placement with use_placement_index=false is deliberately legal:
-  // batching lives inside the index, so without one the knob is inert (the
-  // sweep toggles them independently).  The placement knobs therefore need
-  // no cross-check — but the modulation processes they feed do:
+  // The placement knobs need no cross-check — but the modulation processes
+  // they feed do:
   if (background.enabled) {
     require(background.mean_interval_seconds > 0.0,
             "SimConfig: background.mean_interval_seconds must be > 0");

@@ -100,12 +100,8 @@ RunOutput run_once(const Cluster& cluster, SimConfig config,
 /// Excluded by design: parallel_* including the arena counters (shard
 /// geometry and scratch traffic differ across thread counts),
 /// threads_configured/threads_resolved (the knob itself), and
-/// wall_clock_seconds/peak_rss_bytes (host time/memory).  `include_batch`
-/// turns off the batched-placement counters for comparisons that
-/// deliberately vary SimConfig::batch_placement — the decisions must still
-/// match, but hit/rebuild counts only exist on the batched side.
-void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string& label,
-                        bool include_batch = true) {
+/// wall_clock_seconds/peak_rss_bytes (host time/memory).
+void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string& label) {
 #define DMP_EXPECT_FIELD(field) EXPECT_EQ(a.field, b.field) << label << ": " #field
   DMP_EXPECT_FIELD(scheduler_invocations);
   DMP_EXPECT_FIELD(slots_visited);
@@ -130,17 +126,8 @@ void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string&
   DMP_EXPECT_FIELD(rejected_invalid_server);
   DMP_EXPECT_FIELD(rejected_no_capacity);
   DMP_EXPECT_FIELD(index_queries);
+  DMP_EXPECT_FIELD(index_servers_scanned);
   DMP_EXPECT_FIELD(index_updates);
-  if (include_batch) {
-    // Thread-count-independent: the batch cache is keyed by demand and pool
-    // generation, both products of the simulated world alone.  The scanned
-    // counter is also gated here: batching walks cached group lists, so the
-    // number of servers touched differs from the unbatched walk even though
-    // the chosen servers are identical.
-    DMP_EXPECT_FIELD(index_servers_scanned);
-    DMP_EXPECT_FIELD(index_batch_hits);
-    DMP_EXPECT_FIELD(index_batch_rebuilds);
-  }
   DMP_EXPECT_FIELD(recorder_records);
   DMP_EXPECT_FIELD(recorder_bytes);
   DMP_EXPECT_FIELD(recorder_evictions);
@@ -277,22 +264,20 @@ TEST(ParallelEquivalence, WeightedBestFitUnitSerialVsSharded) {
   EXPECT_EQ(serial.counters().servers_scanned, sharded.counters().servers_scanned);
 }
 
-// Tentpole differentials: the sharded event heap (SimConfig::event_shards)
-// and batched placement (SimConfig::batch_placement) must be invisible in
-// the record stream — for every policy, shard count, thread count and fault
-// setting the run is bit-identical to the default-config reference.
-void run_heap_batch_matrix(const Cluster& cluster, const std::vector<JobSpec>& jobs,
+// Heap-shard differential: the sharded event heap (SimConfig::event_shards)
+// must be invisible in the record stream — for every policy, shard count,
+// thread count and fault setting the run is bit-identical to the
+// default-config reference.
+void run_heap_shard_matrix(const Cluster& cluster, const std::vector<JobSpec>& jobs,
                            const char* inventory, const std::vector<PolicyEntry>& policies) {
   struct Variant {
     int event_shards;
-    bool batch;
     int threads;
   };
   // Shard counts bracketing the default 8 (including the degenerate single
   // heap and the validation cap 64), crossed with thread counts 1..8, plus
-  // the unbatched walk serial and heavily threaded.
-  const Variant variants[] = {{1, true, 1},  {2, true, 2},  {4, true, 4},
-                              {64, true, 8}, {8, false, 1}, {8, false, 8}};
+  // the default shard count serial and heavily threaded.
+  const Variant variants[] = {{1, 1}, {2, 2}, {4, 4}, {64, 8}, {8, 1}, {8, 8}};
   for (const auto& policy : policies) {
     for (const bool faults : {false, true}) {
       SimConfig config;
@@ -303,26 +288,20 @@ void run_heap_batch_matrix(const Cluster& cluster, const std::vector<JobSpec>& j
         config.failures.mean_time_to_failure_seconds = 400.0;
         config.failures.mean_repair_seconds = 60.0;
       }
-      // Reference: default event_shards/batch_placement, sequential.
+      // Reference: default event_shards, sequential.
       const RunOutput reference = run_once(cluster, config, jobs, policy.factory, 1);
       ASSERT_FALSE(reference.stream.empty()) << policy.name;
       for (const Variant& v : variants) {
         const std::string label = std::string(inventory) + "/" + policy.name +
                                   (faults ? "/faults" : "/healthy") + "/shards=" +
-                                  std::to_string(v.event_shards) +
-                                  (v.batch ? "/batch" : "/nobatch") + "/threads=" +
+                                  std::to_string(v.event_shards) + "/threads=" +
                                   std::to_string(v.threads);
         SimConfig vconfig = config;
         vconfig.event_shards = v.event_shards;
-        vconfig.batch_placement = v.batch;
         const RunOutput variant = run_once(cluster, vconfig, jobs, policy.factory, v.threads);
         const DivergenceReport report = compare_streams(reference.stream, variant.stream);
         EXPECT_TRUE(report.identical) << label << "\n" << report.to_string();
-        expect_stats_equal(reference.stats, variant.stats, label, v.batch);
-        if (!v.batch) {
-          EXPECT_EQ(variant.stats.index_batch_hits, 0) << label;
-          EXPECT_EQ(variant.stats.index_batch_rebuilds, 0) << label;
-        }
+        expect_stats_equal(reference.stats, variant.stats, label);
         EXPECT_EQ(reference.makespan, variant.makespan) << label;
         EXPECT_EQ(reference.total_flowtime, variant.total_flowtime) << label;
         EXPECT_EQ(reference.copies, variant.copies) << label;
@@ -331,17 +310,17 @@ void run_heap_batch_matrix(const Cluster& cluster, const std::vector<JobSpec>& j
   }
 }
 
-// event_shards {1,2,4,64} x batch on/off x threads {1,2,4,8} x 9 policies x
-// faults on/off on the paper's 30-node inventory.
-TEST(ParallelEquivalence, HeapShardsAndBatchingPaper30EveryPolicy) {
-  run_heap_batch_matrix(Cluster::paper30(), matrix_workload(9, 8), "paper30",
+// event_shards {1,2,4,8,64} x threads {1,2,4,8} x 9 policies x faults
+// on/off on the paper's 30-node inventory.
+TEST(ParallelEquivalence, HeapShardsPaper30EveryPolicy) {
+  run_heap_shard_matrix(Cluster::paper30(), matrix_workload(9, 8), "paper30",
                         all_policies());
 }
 
-// The same differential at trace scale, where the placement index (and so
-// the batch cache) actually carries the load.  A policy subset keeps the
-// runtime bounded; the full policy sweep runs on paper30 above.
-TEST(ParallelEquivalence, HeapShardsAndBatchingGoogleTrace3K) {
+// The same differential at trace scale, where the placement index actually
+// carries the load.  A policy subset keeps the runtime bounded; the full
+// policy sweep runs on paper30 above.
+TEST(ParallelEquivalence, HeapShardsGoogleTrace3K) {
   std::vector<PolicyEntry> subset;
   for (auto& policy : all_policies()) {
     if (std::string(policy.name) == "capacity" || std::string(policy.name) == "tetris" ||
@@ -349,7 +328,7 @@ TEST(ParallelEquivalence, HeapShardsAndBatchingGoogleTrace3K) {
       subset.push_back(policy);
     }
   }
-  run_heap_batch_matrix(Cluster::google_trace(3000), matrix_workload(11, 6), "google3k",
+  run_heap_shard_matrix(Cluster::google_trace(3000), matrix_workload(11, 6), "google3k",
                         subset);
 }
 

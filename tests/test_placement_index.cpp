@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
@@ -230,6 +233,106 @@ TEST(PlacementIndex, CountersTrackQueriesAndUpdates) {
   ASSERT_TRUE(cluster.server(0).allocate({1, 1}));
   index.on_allocation_changed(0);
   EXPECT_EQ(index.counters().updates, 1u);
+}
+
+/// One index group as seen from outside: (class capacity, exact used vector).
+using GroupKey = std::pair<std::array<double, Resources::kMaxDims>,
+                           std::array<double, Resources::kMaxDims>>;
+
+/// Every group a query must walk for `demand`: the distinct used vectors of
+/// up servers in classes whose capacity holds the demand.  The index's
+/// active lists hold exactly these, so this is the query's visit count.
+std::size_t live_groups_for(const Cluster& cluster, const Resources& demand) {
+  std::set<GroupKey> live;
+  for (const auto& server : cluster.servers()) {
+    if (server.is_down() || !demand.fits_within(server.capacity())) continue;
+    live.insert({server.capacity().dims, server.used().dims});
+  }
+  return live.size();
+}
+
+// Off-grid demands (background load in the paper-30node runs) make used
+// vectors continuous, so the group pool keeps growing long after most of
+// its groups have drained.  A query must still visit only the live groups,
+// and the servers_scanned counter must report exactly those visits — never
+// the pool size, and never fewer than it walked.
+TEST(PlacementIndex, WalkVisitsOnlyLiveGroupsAfterOffGridChurn) {
+  Cluster cluster = Cluster::paper30();
+  PlacementIndex index(cluster);
+  Rng rng(31);
+  std::vector<LiveCopy> live;
+  std::set<GroupKey> pool;  // every group the index has ever been handed
+  const auto note = [&](ServerId sid) {
+    const Server& server = cluster.server(static_cast<std::size_t>(sid));
+    if (!server.is_down()) pool.insert({server.capacity().dims, server.used().dims});
+  };
+  for (const auto& server : cluster.servers()) note(server.id());
+
+  // Fail three servers (copies first released, as the simulator orders it)
+  // so "up servers" is a real bound below the fleet size.
+  const auto fail = [&](ServerId sid) {
+    auto& server = cluster.server(static_cast<std::size_t>(sid));
+    server.set_down(true);
+    index.on_server_down(sid);
+    for (std::size_t i = live.size(); i-- > 0;) {
+      if (live[i].server != sid) continue;
+      server.release(live[i].demand);
+      index.on_allocation_changed(sid);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  };
+
+  const std::vector<Resources> queries = {{1, 2},      {2, 8},        {4, 16},
+                                          {8, 24},     {12, 48},      {0.37, 1.13},
+                                          {3.3, 7.9},  {7.75, 15.5}};
+  const auto check_queries = [&] {
+    std::size_t up = 0;
+    for (const auto& server : cluster.servers()) up += server.is_down() ? 0 : 1;
+    for (const Resources& demand : queries) {
+      const std::size_t visits = live_groups_for(cluster, demand);
+      ASSERT_LE(visits, up);
+      const auto scanned = [&] { return index.counters().servers_scanned; };
+
+      std::uint64_t before = scanned();
+      EXPECT_EQ(index.best_fit(demand), best_fit_server(cluster, demand));
+      EXPECT_EQ(scanned() - before, visits);
+
+      before = scanned();
+      EXPECT_EQ(index.first_fit(demand), first_fit_server(cluster, demand));
+      EXPECT_EQ(scanned() - before, visits);
+
+      before = scanned();
+      EXPECT_EQ(index.weighted_best_fit(demand, nullptr),
+                weighted_reference(cluster, demand,
+                                   std::vector<double>(cluster.size(), 1.0), nullptr));
+      EXPECT_EQ(scanned() - before, visits);
+    }
+  };
+
+  for (int op = 0; op < 6000; ++op) {
+    if (op == 2000) fail(4);
+    if (op == 3000) fail(11);
+    if (op == 4000) fail(29);
+    if (!live.empty() && rng.chance(0.45)) {
+      const std::size_t pick = rng() % live.size();
+      const LiveCopy copy = live[pick];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      cluster.server(static_cast<std::size_t>(copy.server)).release(copy.demand);
+      index.on_allocation_changed(copy.server);
+      note(copy.server);
+    } else {
+      const Resources demand{rng.uniform(0.05, 2.5), rng.uniform(0.05, 5.0)};
+      const auto sid = static_cast<ServerId>(rng() % cluster.size());
+      auto& server = cluster.server(static_cast<std::size_t>(sid));
+      if (!server.allocate(demand)) continue;
+      index.on_allocation_changed(sid);
+      live.push_back({sid, demand});
+      note(sid);
+    }
+    if (op % 500 == 0) check_queries();
+  }
+  ASSERT_GE(pool.size(), 1000u);
+  check_queries();
 }
 
 }  // namespace

@@ -237,9 +237,8 @@ TEST(ServiceValidation, SimConfigCoversModulationKnobs) {
     EXPECT_THROW(config.validate(), std::invalid_argument);
   }
   {
-    // batch_placement without the index is deliberately legal (inert knob).
+    // Running without the placement index is legal (the linear scans).
     SimConfig config;
-    config.batch_placement = true;
     config.use_placement_index = false;
     EXPECT_NO_THROW(config.validate());
   }
