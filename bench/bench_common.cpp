@@ -175,10 +175,6 @@ DryRunContext::DryRunContext(Cluster cluster, std::vector<JobSpec> jobs,
   }
   active_.reserve(jobs_.size());
   for (auto& job : jobs_) active_.push_back(&job);
-  if (config_.threads != 1) {
-    pool_.emplace(static_cast<std::size_t>(config_.threads));
-    if (pool_->size() < 2) pool_.reset();
-  }
 }
 
 bool DryRunContext::place_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,

@@ -51,42 +51,14 @@ void run_step(benchmark::State& state, const std::string& key) {
   state.counters["slab_blocks"] = static_cast<double>(slab.block_allocations);
 }
 
-// Same round, with the deterministic parallel core engaged: arg 1 is the
-// SimConfig::threads value (1 = sequential, 0 = hardware concurrency).
-void run_step_threads(benchmark::State& state, const std::string& key) {
-  SimConfig config = step_config();
-  config.threads = static_cast<int>(state.range(1));
-  DryRunContext ctx(Cluster::google_like(static_cast<std::size_t>(state.range(0))),
-                    step_jobs(200), config);
-  auto scheduler = make_scheduler(key);
-  for (auto _ : state) {
-    scheduler->reset();
-    scheduler->on_job_arrival(ctx);
-    scheduler->schedule(ctx);
-    state.PauseTiming();
-    ctx.reset_placements();
-    state.ResumeTiming();
-  }
-  ThreadPool* pool = ctx.worker_pool();
-  state.counters["workers"] =
-      static_cast<double>(pool != nullptr ? pool->size() : 1);
-}
-
 void BM_StepDollyMP(benchmark::State& state) { run_step(state, "dollymp2"); }
 void BM_StepTetris(benchmark::State& state) { run_step(state, "tetris"); }
 void BM_StepDrf(benchmark::State& state) { run_step(state, "drf"); }
 void BM_StepCapacity(benchmark::State& state) { run_step(state, "capacity"); }
-void BM_StepDollyMPThreads(benchmark::State& state) {
-  run_step_threads(state, "dollymp2");
-}
 
 BENCHMARK(BM_StepDollyMP)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepTetris)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepDrf)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepCapacity)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepDollyMPThreads)
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Replication throughput of the experiment sweep driver
-// (common/experiment.h): whole-run parallelism, the inter-run complement of
-// parallel_step.cpp's intra-run series.  Emitted as BENCH_sweep.json.
+// (common/experiment.h): whole-run parallelism — independent replications
+// fanned across a pool; each run itself stays sequential.  Emitted as
+// BENCH_sweep.json.
 //
 // BM_SweepReplications/T runs a small but representative grid — 3 policies
 // × {healthy, crash} × 3 seeds = 18 replications of a 60-job paper30

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "dollymp/common/thread_pool.h"
-
 namespace dollymp {
 
 namespace {
@@ -334,47 +332,17 @@ ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
   }
   // Straggler-aware multipliers are per server, so members must be scored
   // individually — but the fit test and the base score still collapse to
-  // one evaluation per group.  The fitting groups are gathered into spans
-  // first (same class/active-list/member order as the direct nested walk),
-  // then the flattened member range is scored — serially, or sharded
-  // across the worker pool.  Per-member scores are pure (no accumulation),
-  // and `beats` is a strict total order over (score, id), so the maximum
-  // of per-shard maxima equals the serial walk's winner bit for bit
-  // regardless of shard count.
-  scratch_spans_.clear();
-  scratch_offsets_.clear();
-  std::size_t total_members = 0;
+  // one evaluation per group.
   for (const auto& cls : classes_) {
     if (!demand.fits_within(cls.capacity)) continue;
     for (std::int32_t gid = cls.active_head; gid != kNoGroup;
          gid = cls.groups[static_cast<std::size_t>(gid)].next) {
       const Group& group = cls.groups[static_cast<std::size_t>(gid)];
       if (!group_fits(group.used, demand, cls.capacity)) continue;
-      scratch_spans_.push_back({&group, demand.dot(group_free(cls.capacity, group.used))});
-      scratch_offsets_.push_back(total_members);
-      total_members += group.members.size();
-    }
-  }
-  counters_.servers_scanned += total_members;
-
-  // Score members [begin, end) of the flattened span range into a local
-  // winner — the shared body of the serial and sharded paths.
-  const auto scan_range = [&](std::size_t begin, std::size_t end, ServerId& out_best,
-                              double& out_score) {
-    ServerId local_best = kInvalidServer;
-    double local_score = -1.0;
-    std::size_t span = static_cast<std::size_t>(
-        std::upper_bound(scratch_offsets_.begin(), scratch_offsets_.end(), begin) -
-        scratch_offsets_.begin() - 1);
-    std::size_t i = begin;
-    while (i < end) {
-      const WeightedSpan& ws = scratch_spans_[span];
-      const std::size_t span_begin = scratch_offsets_[span];
-      const std::size_t span_end = span_begin + ws.group->members.size();
-      const std::size_t stop = std::min(end, span_end);
-      for (; i < stop; ++i) {
-        const ServerId id = ws.group->members[i - span_begin];
-        double score = ws.base * multiplier_[static_cast<std::size_t>(id)];
+      counters_.servers_scanned += group.members.size();
+      const double base = demand.dot(group_free(cls.capacity, group.used));
+      for (const ServerId id : group.members) {
+        double score = base * multiplier_[static_cast<std::size_t>(id)];
         if (boost_block != nullptr) {
           for (const ServerId replica : boost_block->replicas) {
             if (replica == id) {
@@ -383,35 +351,10 @@ ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
             }
           }
         }
-        if (beats(score, id, local_score, local_best)) {
-          local_score = score;
-          local_best = id;
-        }
+        consider(id, score);
       }
-      ++span;
     }
-    out_best = local_best;
-    out_score = local_score;
-  };
-
-  const std::size_t shards = shard_count(pool_, total_members);
-  if (shards < 2) {
-    ServerId serial_best = kInvalidServer;
-    double serial_score = -1.0;
-    if (total_members > 0) scan_range(0, total_members, serial_best, serial_score);
-    if (serial_best != kInvalidServer) consider(serial_best, serial_score);
-    return best;
   }
-  scratch_best_.assign(shards, kInvalidServer);
-  scratch_score_.assign(shards, -1.0);
-  run_shards(pool_, shards, total_members,
-             [&](std::size_t s, std::size_t begin, std::size_t end) {
-               scan_range(begin, end, scratch_best_[s], scratch_score_[s]);
-             });
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (scratch_best_[s] != kInvalidServer) consider(scratch_best_[s], scratch_score_[s]);
-  }
-  if (shard_stats_ != nullptr) shard_stats_->note(shards, total_members);
   return best;
 }
 

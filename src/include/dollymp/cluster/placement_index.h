@@ -60,9 +60,6 @@
 
 namespace dollymp {
 
-class ThreadPool;
-struct ShardStats;
-
 class PlacementIndex {
  public:
   /// Builds the index over `cluster`'s current state.  The cluster must
@@ -79,18 +76,6 @@ class PlacementIndex {
   void on_server_down(ServerId id);
   /// Server `id` came back up: re-index it from its current allocation.
   void on_server_up(ServerId id);
-
-  /// Attach the deterministic parallel core's worker pool (and the
-  /// shard-stats accumulator its dispatches note into).  With a pool, the
-  /// non-neutral weighted_best_fit walk — the one query that visits every
-  /// member individually — shards its member scan across the pool; the
-  /// per-shard winners merge under the same total-order comparator the
-  /// serial walk maximizes, so the answer is bit-identical for any thread
-  /// count.  Null (the default) keeps every query serial.
-  void set_parallelism(ThreadPool* pool, ShardStats* stats) {
-    pool_ = pool;
-    shard_stats_ = stats;
-  }
 
   /// Per-server score multiplier used by weighted_best_fit (DollyMP's
   /// straggler-aware placement weight).  Defaults to 1.0 for every server.
@@ -187,23 +172,6 @@ class PlacementIndex {
   /// The (rack, class) bucket holding `id` (built at construction).
   [[nodiscard]] RackClassBucket& bucket_of(ServerId id);
   mutable Counters counters_;
-
-  /// One fitting group of the weighted member walk: the group plus its
-  /// shared base score (evaluated once, exactly as the serial walk does).
-  struct WeightedSpan {
-    const Group* group;
-    double base;
-  };
-
-  ThreadPool* pool_ = nullptr;        ///< parallel core's pool; null = serial
-  ShardStats* shard_stats_ = nullptr;
-  // Scratch for the sharded weighted walk, reused across queries (cleared,
-  // never shrunk).  Queries run on the scheduling thread only; shard bodies
-  // touch disjoint slots of scratch_best_/scratch_score_.
-  mutable std::vector<WeightedSpan> scratch_spans_;
-  mutable std::vector<std::size_t> scratch_offsets_;  // span -> first member index
-  mutable std::vector<ServerId> scratch_best_;
-  mutable std::vector<double> scratch_score_;
 };
 
 }  // namespace dollymp

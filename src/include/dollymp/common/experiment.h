@@ -1,7 +1,7 @@
 // Experiment sweep driver: whole-replication parallelism.
 //
-// PR 5's deterministic parallel core shards *inside* one simulation; this
-// driver attacks the other axis of the paper's §6 evaluation, the figure
+// Each simulation runs sequentially on one thread; this driver
+// parallelizes the other axis of the paper's §6 evaluation, the figure
 // grid itself: seeds × policies × fault matrices are independent
 // replications, so they fan across the owned thread pool with no shared
 // mutable state at all (each replication copies the cluster prototype and

@@ -31,9 +31,11 @@ namespace dollymp {
 inline constexpr std::uint64_t kStateHashSeed = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kStateHashPrime = 0x100000001b3ULL;
 
-/// The 9-byte format magic + current version.
+/// The 9-byte format magic + current version.  Bump the version whenever a
+/// payload layout changes (a SimStats field added or removed shifts every
+/// later byte), so an older snapshot fails loudly instead of being misread.
 inline constexpr char kStateMagic[] = "DMPCKPT01";  // 9 chars + NUL
-inline constexpr std::uint32_t kStateVersion = 1;
+inline constexpr std::uint32_t kStateVersion = 2;
 
 class StateWriter {
  public:

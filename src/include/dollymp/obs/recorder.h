@@ -102,23 +102,20 @@ class Recorder {
   std::uint64_t hash_ = kTraceHashSeed;
 };
 
-/// Binary log I/O.  Format: magic "DMPTRC02", slot_seconds, the resolved
-/// worker-thread count of the run that produced the stream (provenance for
-/// the determinism story: the stream is identical for every value, so a
-/// divergence can never be blamed on threading — the header lets a reader
-/// check that claim), record count, then `count` packed records
+/// Binary log I/O.  Format: magic "DMPTRC02", slot_seconds, a worker-thread
+/// count (always 1: every run is sequential; the slot is kept so the format
+/// is unchanged), record count, then `count` packed records
 /// (kTraceRecordWireBytes each, little-endian on every platform this
 /// project targets).  load_log also accepts legacy "DMPTRC01" files, which
-/// lack the thread field (reported as 1).  Throws std::runtime_error on
-/// I/O failure or a malformed/foreign file.
+/// lack the thread slot.  Throws std::runtime_error on I/O failure or a
+/// malformed/foreign file.
 struct TraceLog {
   double slot_seconds = 5.0;
-  long long threads_resolved = 1;  ///< worker threads of the producing run
   std::vector<TraceRecord> records;
 };
 
 void save_log(const std::string& path, const std::vector<TraceRecord>& records,
-              double slot_seconds, long long threads_resolved = 1);
+              double slot_seconds);
 [[nodiscard]] TraceLog load_log(const std::string& path);
 
 }  // namespace dollymp

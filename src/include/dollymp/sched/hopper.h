@@ -41,9 +41,8 @@ class HopperScheduler final : public Scheduler {
 
  private:
   HopperConfig config_;
-  /// Persistent arena for the speculation sweep's shard-merge buffers
-  /// (SpeculationScratch): steady-state passes reuse retained capacity.
-  SpeculationScratch spec_scratch_;
+  /// The speculation sweep's candidate buffer, reused across passes.
+  std::vector<SpeculationCandidate> spec_candidates_;
 };
 
 }  // namespace dollymp

@@ -16,7 +16,7 @@
 // last snapshot is discarded and replayed identically by its successor.
 // Any kill point therefore yields the same final stream hash as an
 // uninterrupted run (docs/ALGORITHMS.md §20; proven across the
-// policy × faults × threads matrix in tests/test_supervisor.cpp).
+// policy × faults matrix in tests/test_supervisor.cpp).
 //
 // POSIX-only (fork/waitpid/kill); on other platforms run_supervised throws.
 #pragma once

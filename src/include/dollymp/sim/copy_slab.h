@@ -23,8 +23,8 @@
 //     acquire/reuse counters feed SimStats and the allocations-per-step
 //     bench gates.
 //
-// Thread safety: none.  All mutation happens on the scheduling thread
-// (sharded scans only read), matching the rest of the runtime state.
+// Thread safety: none.  A run uses it from one thread, like the rest of
+// the runtime state.
 #pragma once
 
 #include <cstddef>

@@ -38,10 +38,10 @@
 // set, fault masks, background-load processes, recorder stream position and
 // a length-prefixed scheduler blob — and load_state reproduces a run that
 // pops the same events in the same order and appends the same trace
-// records (docs/ALGORITHMS.md §19).  The pending events are re-pushed from
-// an unspecified enumeration: the event comparator is a total order over
-// all payload fields, so the pending *set* determines the pop sequence and
-// the shard layout is not semantic.
+// records (docs/ALGORITHMS.md §19).  The pending events are written in the
+// heap's array order and re-heapified on load: the event comparator is a
+// total order over all payload fields, so the pending *set* determines the
+// pop sequence and the heap layout is not semantic.
 #pragma once
 
 #include <array>
@@ -55,12 +55,10 @@
 #include "dollymp/cluster/locality.h"
 #include "dollymp/cluster/placement_index.h"
 #include "dollymp/common/rng.h"
-#include "dollymp/common/thread_pool.h"
 #include "dollymp/metrics/records.h"
 #include "dollymp/metrics/slo_window.h"
 #include "dollymp/obs/recorder.h"
 #include "dollymp/sched/scheduler.h"
-#include "dollymp/sim/event_heap.h"
 #include "dollymp/sim/faults.h"
 #include "dollymp/sim/runtime_store.h"
 #include "dollymp/sim/types.h"
@@ -271,8 +269,6 @@ class SimCore final : public SchedulerContext {
   [[nodiscard]] PlacementIndex* placement_index() override {
     return index_ ? &*index_ : nullptr;
   }
-  [[nodiscard]] ThreadPool* worker_pool() override { return pool_ ? &*pool_ : nullptr; }
-  [[nodiscard]] ShardStats* shard_stats() override { return &parallel_stats_; }
   [[nodiscard]] Recorder* recorder() override { return rec_; }
   bool place_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
                   ServerId server) override;
@@ -292,6 +288,11 @@ class SimCore final : public SchedulerContext {
   }
 
   void push_event(const SimEvent& event);
+  SimEvent pop_event();
+  /// Throws a "snapshot:" error unless `e` has a known kind and every
+  /// server, rack, job, phase, task or copy it names exists in the
+  /// restored state.
+  void check_restored_event(const SimEvent& e) const;
   void push_completion(SimTime slot, JobRuntime& job, PhaseIndex phase,
                        std::int32_t task, std::int32_t copy, std::uint32_t generation);
   bool place(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task, ServerId server,
@@ -347,11 +348,6 @@ class SimCore final : public SchedulerContext {
   /// healthy run.  Holds a reference to rng_failure_ above.
   std::optional<FaultEngine> faults_;
   Recorder* rec_;  ///< flight recorder, null unless SimConfig::recorder set
-  /// Worker pool of the parallel scheduling core (absent when
-  /// config_.threads resolves to a single thread) and the shard-count /
-  /// imbalance accumulator its sharded scans note into.
-  std::optional<ThreadPool> pool_;
-  ShardStats parallel_stats_;
 
   /// Struct-of-arrays backing store for all job/phase/task/copy state; the
   /// jobs_ reference below preserves the historical vector-of-jobs surface
@@ -363,9 +359,10 @@ class SimCore final : public SchedulerContext {
   std::size_t next_arrival_ = 0;
   std::vector<JobRuntime*> active_;
   /// The event heap: completions, failures, repairs and timer wakeups in a
-  /// single deterministic total order, sharded by server/job range behind a
-  /// loser-tree merge frontier (sim/event_heap.h).
-  ShardedEventHeap<SimEvent> events_;
+  /// single deterministic total order — a binary min-heap kept with
+  /// std::push_heap/std::pop_heap under std::greater<>, front() the next
+  /// event.
+  std::vector<SimEvent> events_;
   std::size_t pending_timer_count_ = 0;
   SimTime pending_timer_slot_ = kNever;  ///< dedupe: last timer slot still queued
 

@@ -37,56 +37,26 @@ struct SpeculationConfig {
   double capacity_fraction_cap = 0.10;
 };
 
+/// A straggler the pass may back up.
+struct SpeculationCandidate {
+  JobRuntime* job;
+  PhaseRuntime* phase;
+  TaskRuntime* task;
+  double overrun;  ///< elapsed / theta, larger = more overdue
+};
+
 /// Scans active jobs and launches backups through the context.  Returns the
 /// number of backups launched.  Reusable by any scheduler; the Capacity
-/// baseline calls it after its normal placement pass.
+/// baseline calls it after its normal placement pass.  `candidates` is the
+/// caller's scratch buffer, cleared but never shrunk, so a scheduler that
+/// keeps it across passes sweeps without allocating it again.
 ///
 /// Event-driven: the pass also registers a timer wakeup
 /// (SchedulerContext::request_wakeup) at the earliest future slot where a
 /// currently-running task will cross the slow_factor threshold, so callers
 /// need no every-slot polling — between events and that crossing, the
 /// pass's decision cannot change.
-int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config);
-
-/// Persistent scratch arena for run_speculation_pass: the scan-unit list,
-/// per-shard scan outputs and the merged candidate vector.  Owned by the
-/// calling scheduler and handed to every pass, so steady-state sweeps run
-/// entirely inside retained capacity (no shard-merge allocation churn); each
-/// parallel pass reports its acquisition to ShardStats::note_arena with
-/// whether any backing buffer had to grow.
-struct SpeculationScratch {
-  struct Candidate {
-    JobRuntime* job;
-    PhaseRuntime* phase;
-    TaskRuntime* task;
-    double overrun;  ///< elapsed / theta, larger = more overdue
-  };
-  /// One (job, runnable phase) pair past the finished-fraction gate.
-  struct ScanUnit {
-    JobRuntime* job;
-    PhaseRuntime* phase;
-  };
-  /// One shard's scan output: candidates and budget charges in scan order,
-  /// plus the shard's earliest straggler-threshold crossing.
-  struct ShardScan {
-    std::vector<Candidate> candidates;
-    std::vector<double> norm_contributions;
-    SimTime next_crossing = kNever;
-  };
-
-  std::vector<ScanUnit> units;
-  std::vector<ShardScan> scans;
-  std::vector<Candidate> candidates;  ///< ordered merge of the shard scans
-
-  /// Total retained capacity in bytes across every backing buffer —
-  /// compared before/after a pass to detect growth.
-  [[nodiscard]] std::size_t capacity_bytes() const;
-};
-
-/// Arena-taking overload: identical decisions to the overload above (the
-/// scratch only changes where the temporaries live).  A null `scratch`
-/// falls back to function-local buffers.
 int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config,
-                         SpeculationScratch* scratch);
+                         std::vector<SpeculationCandidate>& candidates);
 
 }  // namespace dollymp

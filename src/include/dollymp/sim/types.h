@@ -170,25 +170,6 @@ struct SimConfig {
   /// switches).  0 disables the penalty.
   double gang_spread_penalty = 0.15;
 
-  /// Worker threads for the deterministic parallel scheduling core: the
-  /// per-job priority recompute, the weighted placement scan and the
-  /// speculation sweep shard across a pool of this many threads, each with
-  /// a fixed-shard-order reduction so the decision stream (and the
-  /// flight-recorder hash) is bit-identical to the sequential run.  1 (the
-  /// default) keeps today's exact single-threaded path with no pool at all;
-  /// 0 selects hardware_concurrency.  Asserted by the paired-seed
-  /// equivalence suite and the parallel fuzzer.
-  int threads = 1;
-
-  /// Shard count of the sharded event heap (sim/event_heap.h): pending
-  /// events partition into this many per-shard binary min-heaps (machine
-  /// and fault events by server range, completions by job range) merged
-  /// through a loser-tree frontier.  Pop order is bit-identical for every
-  /// value — the golden flight-stream hashes pin the default against the
-  /// single-heap history — so this is purely a cache/latency knob.  Must be
-  /// in [1, 64]; 1 degenerates to one heap.
-  int event_shards = 8;
-
   /// Maintain an incremental PlacementIndex over the cluster and expose it
   /// through SchedulerContext::placement_index(), so the placement helpers
   /// stop scanning every server per copy placed.  Placement decisions are

@@ -139,9 +139,8 @@ std::string render_control_plane(const std::vector<RunSummary>& summaries) {
                       "shed", "ovl_level", "attempts", "placed",
                       "gangs", "gang_rb", "rack_split",
                       "rej_cap", "rej_full", "rej_other", "idx_query", "idx_scan",
-                      "idx_update", "threads", "par_sect", "par_shards",
-                      "par_widest", "arena", "rec",
-                      "rec_evict", "rec_hash", "slab_acq", "slab_reuse",
+                      "idx_update", "rec", "rec_evict", "rec_hash", "slab_acq",
+                      "slab_reuse",
                       "slab_blk", "B/server", "rss_mb", "wall_ms"});
   for (const auto& s : summaries) {
     const SimStats& st = s.stats;
@@ -187,17 +186,6 @@ std::string render_control_plane(const std::vector<RunSummary>& summaries) {
                    std::to_string(st.index_queries),
                    std::to_string(st.index_servers_scanned),
                    std::to_string(st.index_updates),
-                   // configured->resolved: "0>4" says threads=0 picked up 4
-                   // hardware workers; "1>1" is the serial default.
-                   std::to_string(st.threads_configured) + ">" +
-                       std::to_string(st.threads_resolved),
-                   std::to_string(st.parallel_sections),
-                   std::to_string(st.parallel_shards),
-                   std::to_string(st.parallel_max_shard_items),
-                   // scratch-arena reuses/grows: steady state must be all
-                   // reuses (the zero-allocation claim).
-                   std::to_string(st.parallel_arena_reuses) + "/" +
-                       std::to_string(st.parallel_arena_grows),
                    std::to_string(st.recorder_records),
                    std::to_string(st.recorder_evictions),
                    format_recorder_hash(st),

@@ -33,7 +33,7 @@ void Recorder::dump(std::ostream& os) const {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'M', 'P', 'T', 'R', 'C', '0', '2'};
-/// Legacy header without the threads_resolved field; still readable.
+/// Legacy header without the thread-count slot; still readable.
 constexpr char kMagicV1[8] = {'D', 'M', 'P', 'T', 'R', 'C', '0', '1'};
 
 // Field-by-field packing: the in-memory struct has padding, so raw memcpy
@@ -57,12 +57,12 @@ T take(const char*& p, const char* end) {
 }  // namespace
 
 void save_log(const std::string& path, const std::vector<TraceRecord>& records,
-              double slot_seconds, long long threads_resolved) {
+              double slot_seconds) {
   std::string blob;
   blob.reserve(sizeof(kMagic) + 24 + records.size() * kTraceRecordWireBytes);
   blob.append(kMagic, sizeof(kMagic));
   put(blob, slot_seconds);
-  put(blob, static_cast<std::int64_t>(threads_resolved));
+  put(blob, std::int64_t{1});  // thread-count slot: runs are sequential
   put(blob, static_cast<std::uint64_t>(records.size()));
   for (const auto& r : records) {
     put(blob, r.seq);
@@ -98,7 +98,7 @@ TraceLog load_log(const std::string& path) {
   p += sizeof(kMagic);
   TraceLog log;
   log.slot_seconds = take<double>(p, end);
-  if (v2) log.threads_resolved = take<std::int64_t>(p, end);
+  if (v2) (void)take<std::int64_t>(p, end);  // thread-count slot
   const auto count = take<std::uint64_t>(p, end);
   if ((end - p) != static_cast<std::ptrdiff_t>(count * kTraceRecordWireBytes)) {
     throw std::runtime_error("load_log: " + path + " has a corrupt record section");

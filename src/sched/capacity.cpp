@@ -39,7 +39,7 @@ void CapacityScheduler::schedule(SchedulerContext& ctx) {
     }
     if (head_blocked) break;
   }
-  run_speculation_pass(ctx, config_.speculation, &spec_scratch_);
+  run_speculation_pass(ctx, config_.speculation, spec_candidates_);
 }
 
 }  // namespace dollymp

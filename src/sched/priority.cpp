@@ -4,37 +4,19 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dollymp/common/thread_pool.h"
 #include "dollymp/sched/knapsack.h"
 
 namespace dollymp {
 
-std::size_t PriorityScratch::capacity_bytes() const {
-  std::size_t bytes = shard_weights.capacity() * sizeof(std::vector<double>) +
-                      shard_members.capacity() * sizeof(std::vector<std::size_t>) +
-                      weights.capacity() * sizeof(double) +
-                      members.capacity() * sizeof(std::size_t);
-  for (const auto& v : shard_weights) bytes += v.capacity() * sizeof(double);
-  for (const auto& v : shard_members) bytes += v.capacity() * sizeof(std::size_t);
-  return bytes;
-}
-
 PriorityResult compute_transient_priorities(const std::vector<PriorityJobInput>& jobs) {
-  return compute_transient_priorities(jobs, nullptr, nullptr);
+  std::vector<double> weights;
+  std::vector<std::size_t> members;
+  return compute_transient_priorities(jobs, weights, members);
 }
 
 PriorityResult compute_transient_priorities(const std::vector<PriorityJobInput>& jobs,
-                                            ThreadPool* pool, ShardStats* shard_stats) {
-  return compute_transient_priorities(jobs, pool, shard_stats, nullptr);
-}
-
-PriorityResult compute_transient_priorities(const std::vector<PriorityJobInput>& jobs,
-                                            ThreadPool* pool, ShardStats* shard_stats,
-                                            PriorityScratch* scratch) {
-  PriorityScratch local;
-  PriorityScratch& arena = scratch != nullptr ? *scratch : local;
-  const std::size_t capacity_before = arena.capacity_bytes();
-
+                                            std::vector<double>& weights,
+                                            std::vector<std::size_t>& members) {
   PriorityResult result;
   result.priority.assign(jobs.size(), 0);
   if (jobs.empty()) return result;
@@ -60,20 +42,6 @@ PriorityResult compute_transient_priorities(const std::vector<PriorityJobInput>&
   g = std::max({g, 1, static_cast<int>(std::ceil(std::log2(std::max(1.0, max_length))))});
   g = std::min(g + 1, 62);
 
-  // Per-shard candidate buffers for the round filter, served from the
-  // arena so the doubling rounds — and, with a caller-owned scratch, every
-  // later recompute — reuse their capacity.  Shard s filters the contiguous
-  // job range shard_range(s, ...); concatenating the shard lists in
-  // ascending shard order reproduces the serial ascending-index scan, so
-  // the knapsack sees the identical candidate sequence.
-  const std::size_t filter_shards = shard_count(pool, jobs.size());
-  if (arena.shard_weights.size() < filter_shards) arena.shard_weights.resize(filter_shards);
-  if (arena.shard_members.size() < filter_shards) arena.shard_members.resize(filter_shards);
-  auto& shard_weights = arena.shard_weights;
-  auto& shard_members = arena.shard_members;
-  auto& weights = arena.weights;
-  auto& members = arena.members;
-
   std::size_t assigned = 0;
   int l = 1;
   for (; l <= 62 && assigned < jobs.size(); ++l) {
@@ -83,32 +51,11 @@ PriorityResult compute_transient_priorities(const std::vector<PriorityJobInput>&
     // per Algorithm 1 (the knapsack is re-solved over all of B_l).
     weights.clear();
     members.clear();
-    if (filter_shards < 2) {
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (jobs[i].length <= budget + 1e-12) {
-          weights.push_back(jobs[i].volume);
-          members.push_back(i);
-        }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (jobs[i].length <= budget + 1e-12) {
+        weights.push_back(jobs[i].volume);
+        members.push_back(i);
       }
-    } else {
-      run_shards(pool, filter_shards, jobs.size(),
-                 [&](std::size_t s, std::size_t begin, std::size_t end) {
-                   auto& sw = shard_weights[s];
-                   auto& sm = shard_members[s];
-                   sw.clear();
-                   sm.clear();
-                   for (std::size_t i = begin; i < end; ++i) {
-                     if (jobs[i].length <= budget + 1e-12) {
-                       sw.push_back(jobs[i].volume);
-                       sm.push_back(i);
-                     }
-                   }
-                 });
-      for (std::size_t s = 0; s < filter_shards; ++s) {
-        weights.insert(weights.end(), shard_weights[s].begin(), shard_weights[s].end());
-        members.insert(members.end(), shard_members[s].begin(), shard_members[s].end());
-      }
-      if (shard_stats != nullptr) shard_stats->note(filter_shards, jobs.size());
     }
     if (members.empty()) continue;
     const KnapsackPick pick = knapsack_unit_profit(weights, budget);
@@ -127,11 +74,6 @@ PriorityResult compute_transient_priorities(const std::vector<PriorityJobInput>&
   // vs. length scaling) go to the last class + 1.
   for (auto& p : result.priority) {
     if (p == 0) p = result.rounds + 1;
-  }
-  // Arena accounting: a caller-retained scratch that served a parallel pass
-  // counts as one acquisition, grown iff any backing buffer allocated.
-  if (scratch != nullptr && shard_stats != nullptr && filter_shards >= 2) {
-    shard_stats->note_arena(arena.capacity_bytes() > capacity_before);
   }
   return result;
 }

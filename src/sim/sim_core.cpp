@@ -1,6 +1,7 @@
 #include "dollymp/sim/sim_core.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -104,17 +105,6 @@ SimCore::SimCore(Cluster cluster, const SimConfig& config)
     faults_.emplace(cluster_, config_.failures, config_.faults, config_.slot_seconds,
                     rng_failure_);
   }
-  // The deterministic parallel core's worker pool: threads == 1 (the
-  // default) keeps the exact sequential path with no pool; 0 resolves to
-  // hardware_concurrency inside ThreadPool.  A resolved single-worker
-  // pool is dropped again — one worker cannot shard, so the sharded call
-  // sites would run inline anyway and the thread would only idle.
-  if (config_.threads != 1) {
-    pool_.emplace(static_cast<std::size_t>(config_.threads));
-    if (pool_->size() < 2) pool_.reset();
-  }
-  if (index_) index_->set_parallelism(worker_pool(), &parallel_stats_);
-  events_.reset(static_cast<std::size_t>(config_.event_shards));
 }
 
 // ---- streaming driver ------------------------------------------------------
@@ -209,7 +199,7 @@ StepOutcome SimCore::step_until(SimTime horizon) {
         next = std::min(
             next, jobs_[static_cast<std::size_t>(arrival_order_[next_arrival_])].arrival);
       }
-      if (!events_.empty()) next = std::min(next, events_.top().slot);
+      if (!events_.empty()) next = std::min(next, events_.front().slot);
 
       if (streaming_ && jobs_remaining_ == 0 && events_.empty() &&
           next_arrival_ >= arrival_order_.size()) {
@@ -321,16 +311,6 @@ SimResult SimCore::finish() {
                                static_cast<double>(cluster_.size());
     result_.stats.peak_rss_bytes = process_peak_rss_bytes();
   }
-  result_.stats.parallel_sections = parallel_stats_.sections;
-  result_.stats.parallel_shards = parallel_stats_.shards;
-  result_.stats.parallel_items = parallel_stats_.items;
-  result_.stats.parallel_max_shard_items = parallel_stats_.max_shard_items;
-  result_.stats.parallel_arena_acquires = parallel_stats_.arena_acquires;
-  result_.stats.parallel_arena_reuses = parallel_stats_.arena_reuses;
-  result_.stats.parallel_arena_grows = parallel_stats_.arena_grows;
-  result_.stats.threads_configured = config_.threads;
-  result_.stats.threads_resolved =
-      pool_ ? static_cast<long long>(pool_->size()) : 1;
   if (rec_) {
     result_.stats.recorder_records = static_cast<long long>(rec_->records_written());
     result_.stats.recorder_bytes = static_cast<long long>(rec_->bytes_written());
@@ -530,9 +510,15 @@ void SimCore::note_clone_budget_degraded(int effective, int configured) {
 // ---- event plumbing --------------------------------------------------------
 
 void SimCore::push_event(const SimEvent& event) {
-  events_.push(event, event_shard_for(event.server, event.job_index,
-                                      events_.shard_count(), cluster_.size(),
-                                      jobs_.size()));
+  events_.push_back(event);
+  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+}
+
+SimEvent SimCore::pop_event() {
+  std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
+  const SimEvent e = events_.back();
+  events_.pop_back();
+  return e;
 }
 
 void SimCore::push_completion(SimTime slot, JobRuntime& job, PhaseIndex phase,
@@ -971,9 +957,9 @@ void SimCore::drain_failures() {
   // (server already down via another class, or a duplicate event) — so the
   // per-class timer chains stay self-sustaining and the failure stream's
   // draw order is a pure function of heap pop order.
-  while (!events_.empty() && events_.top().slot <= now_ && events_.top().group() == 0) {
-    const SimEvent e = events_.top();
-    events_.pop();
+  while (!events_.empty() && events_.front().slot <= now_ &&
+         events_.front().group() == 0) {
+    const SimEvent e = pop_event();
     switch (e.kind) {
       case EvKind::kServerRepair: {
         ++result_.stats.events_server_repair;
@@ -1112,9 +1098,8 @@ void SimCore::process_arrivals() {
 }
 
 void SimCore::drain_completions() {
-  while (!events_.empty() && events_.top().slot <= now_) {
-    const SimEvent e = events_.top();
-    events_.pop();
+  while (!events_.empty() && events_.front().slot <= now_) {
+    const SimEvent e = pop_event();
     if (e.kind == EvKind::kTimer) {
       ++result_.stats.events_timer;
       --pending_timer_count_;
@@ -1224,7 +1209,7 @@ void SimCore::save_state(StateWriter& w) const {
   // exact pop sequence (docs/ALGORITHMS.md §19).
   w.section(kTagHeap);
   w.u64(events_.size());
-  events_.for_each([&w](const SimEvent& e) { w.pod(e); });
+  for (const SimEvent& e : events_) w.pod(e);
 
   w.b(rec_ != nullptr);
   if (rec_) {
@@ -1246,6 +1231,56 @@ void SimCore::save_state(StateWriter& w) const {
   const std::size_t before = w.size();
   scheduler_->save_state(w);
   w.patch_u64(len_at, w.size() - before);
+}
+
+void SimCore::check_restored_event(const SimEvent& e) const {
+  const auto require_index = [](std::int64_t index, std::size_t extent,
+                                const char* what) {
+    if (index < 0 || static_cast<std::size_t>(index) >= extent) {
+      throw std::runtime_error("snapshot: heap event " + std::string(what) + " " +
+                               std::to_string(index) + " is outside [0, " +
+                               std::to_string(extent) + ")");
+    }
+  };
+  const auto require_faults = [this] {
+    if (!faults_) {
+      throw std::runtime_error("snapshot: fault event on a run without faults");
+    }
+  };
+  switch (e.kind) {
+    case EvKind::kTimer:
+      return;
+    case EvKind::kCopyFault:
+      require_faults();
+      return;
+    case EvKind::kServerRepair:
+    case EvKind::kServerFailure:
+    case EvKind::kFailSlowRecover:
+    case EvKind::kFailSlowOnset:
+      require_faults();
+      require_index(e.server, cluster_.size(), "server");
+      return;
+    case EvKind::kRackRepair:
+    case EvKind::kRackFailure:
+      require_faults();
+      require_index(e.server, static_cast<std::size_t>(faults_->rack_count()), "rack");
+      return;
+    case EvKind::kCompletion: {
+      require_index(e.job_index, jobs_.size(), "job");
+      // A finished job's events are screened out before their phase, task
+      // or copy is touched (its copy storage is already released).
+      const JobRuntime& job = jobs_[static_cast<std::size_t>(e.job_index)];
+      if (job.finished) return;
+      require_index(e.phase, job.phases.size(), "phase");
+      const PhaseRuntime& phase = job.phases[static_cast<std::size_t>(e.phase)];
+      require_index(e.task, phase.tasks.size(), "task");
+      const TaskRuntime& task = phase.tasks[static_cast<std::size_t>(e.task)];
+      if (e.copy != -1) require_index(e.copy, task.copies.size(), "copy");
+      return;
+    }
+  }
+  throw std::runtime_error("snapshot: heap event of unknown kind " +
+                           std::to_string(static_cast<int>(e.kind)));
 }
 
 std::vector<const JobSpec*> SimCore::job_spec_pointers() const {
@@ -1337,13 +1372,12 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   }
 
   r.section(kTagHeap);
-  events_.reset(static_cast<std::size_t>(config_.event_shards));
-  const std::size_t event_count = static_cast<std::size_t>(r.u64());
-  for (std::size_t i = 0; i < event_count; ++i) {
-    SimEvent e;
+  events_.resize(r.count(sizeof(std::uint32_t) + sizeof(SimEvent)));
+  for (SimEvent& e : events_) {
     r.pod(e);
-    push_event(e);
+    check_restored_event(e);
   }
+  std::make_heap(events_.begin(), events_.end(), std::greater<>{});
 
   const bool had_recorder = r.b();
   std::uint64_t rec_records = 0;
@@ -1373,7 +1407,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   // quarantined servers explicitly.
   if (config_.use_placement_index) {
     index_.emplace(cluster_);
-    index_->set_parallelism(worker_pool(), &parallel_stats_);
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
       const Server& server = cluster_.server(s);
       if (!server.is_down() && server.is_quarantined()) {

@@ -56,13 +56,6 @@ void SimConfig::validate() const {
   require(max_copies_per_task >= 1, "SimConfig: max_copies_per_task must be >= 1");
   require(max_slots >= 1, "SimConfig: max_slots must be >= 1");
   require(sigma_factor >= 0.0, "SimConfig: sigma_factor must be >= 0");
-  require(threads >= 0, "SimConfig: threads must be >= 0 (0 = hardware concurrency)");
-  // More workers than any plausible machine has hardware threads is a typo
-  // (e.g. threads=1000 for threads=10), not a tuning choice — each worker
-  // pins a stack and an OS thread for the whole run.
-  require(threads <= 512, "SimConfig: threads must be <= 512");
-  require(event_shards >= 1 && event_shards <= 64,
-          "SimConfig: event_shards must be in [1, 64]");
   require(resource_dims >= 2 &&
               resource_dims <= static_cast<int>(Resources::kMaxDims),
           "SimConfig: resource_dims must be in [2, Resources::kMaxDims]");

@@ -1,22 +1,29 @@
-// Randomized differential fuzz for the deterministic parallel core.
+// Randomized differential fuzz: sequential runs vs the same runs fanned
+// across a worker pool.
 //
 // Each trial draws a random — but validate()-clean — SimConfig with fault
-// and resilience (quarantine) churn enabled at random rates, a random
-// workload, and a random thread count, then runs the scenario twice: once
-// sequential (threads = 1) and once parallel.  The parallel run must
-// satisfy the five chaos invariants (completion, no leaked allocations,
-// copy conservation, bounded degradation, replay determinism via the
-// stream comparison) AND produce a flight-recorder stream bit-identical to
-// the sequential run's.  On divergence the failure message decodes the
-// first differing record on both sides (DivergenceReport::to_string).
+// and resilience (quarantine) churn enabled at random rates and a random
+// workload.  Every scenario is run once on the calling thread, then all of
+// them are run again concurrently through parallel_map on a ThreadPool, the
+// way the sweep driver, the experiment runner and the service's fork
+// advances spread whole runs over cores.  Each pooled run must produce a
+// flight-recorder stream bit-identical to its sequential twin (no state is
+// shared between concurrent simulations) and satisfy the chaos invariants
+// (completion, no leaked allocations, copy conservation, bounded
+// degradation, replay determinism).  On divergence the failure message
+// decodes the first differing record on both sides
+// (DivergenceReport::to_string).
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/rng.h"
+#include "dollymp/common/thread_pool.h"
 #include "dollymp/obs/replay.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sim/simulator.h"
@@ -29,7 +36,6 @@ namespace {
 struct FuzzScenario {
   SimConfig config;
   DollyMPConfig policy;
-  int threads = 2;
   int jobs = 8;
   double arrival_gap = 12.0;
   std::uint64_t workload_seed = 0;
@@ -68,8 +74,7 @@ FuzzScenario draw_scenario(Rng& rng) {
   }
 
   // Policy: DollyMP with a random clone budget; resilience (retry backoff +
-  // quarantine strikes) flips on for most trials so quarantine churn runs
-  // concurrently with the sharded scans.
+  // quarantine strikes) flips on for most trials.
   s.policy.clone_budget = static_cast<int>(rng.range(0, 2));
   s.policy.straggler_aware = rng.chance(0.5);
   if (rng.chance(0.7)) {
@@ -77,7 +82,6 @@ FuzzScenario draw_scenario(Rng& rng) {
     s.policy.resilience.flap_threshold = rng.uniform(1.5, 3.0);
   }
 
-  s.threads = static_cast<int>(rng.range(2, 8));
   s.jobs = static_cast<int>(rng.range(6, 12));
   s.arrival_gap = rng.uniform(8.0, 20.0);
   s.workload_seed = rng.below(1u << 20);
@@ -95,8 +99,7 @@ std::vector<JobSpec> fuzz_workload(const FuzzScenario& s) {
 
 std::string describe(const FuzzScenario& s, int trial) {
   std::string out = "trial " + std::to_string(trial) + ": seed=" +
-                    std::to_string(s.config.seed) + " threads=" +
-                    std::to_string(s.threads) + " jobs=" + std::to_string(s.jobs) +
+                    std::to_string(s.config.seed) + " jobs=" + std::to_string(s.jobs) +
                     " clones=" + std::to_string(s.policy.clone_budget);
   if (s.policy.straggler_aware) out += " straggler";
   if (s.policy.resilience.enabled) out += " resilience";
@@ -107,68 +110,89 @@ std::string describe(const FuzzScenario& s, int trial) {
   return out;
 }
 
-void run_trial(const FuzzScenario& s, int trial) {
-  const std::string label = describe(s, trial);
-  SCOPED_TRACE(label);
-  ASSERT_NO_THROW(s.config.validate());
-  const Cluster cluster = Cluster::paper30();
-  const auto jobs = fuzz_workload(s);
-  const auto run = [&](int threads, Recorder& rec) {
-    SimConfig config = s.config;
-    config.threads = threads;
-    config.recorder = &rec;
-    DollyMPScheduler scheduler(s.policy);
-    return simulate(cluster, config, jobs, scheduler);
-  };
+struct TrialRun {
+  SimResult result;
+  std::vector<TraceRecord> stream;
+};
 
-  Recorder sequential_rec;
-  const SimResult sequential = run(1, sequential_rec);
-  Recorder parallel_rec;
-  const SimResult parallel = run(s.threads, parallel_rec);
+TrialRun run_scenario(const Cluster& cluster, const FuzzScenario& s,
+                      const std::vector<JobSpec>& jobs) {
+  Recorder rec;
+  SimConfig config = s.config;
+  config.recorder = &rec;
+  DollyMPScheduler scheduler(s.policy);
+  TrialRun run;
+  run.result = simulate(cluster, config, jobs, scheduler);
+  run.stream = rec.snapshot();
+  return run;
+}
 
-  // Differential: the parallel stream must be bit-identical, record for
+void check_trial(const Cluster& cluster, const FuzzScenario& s,
+                 const std::vector<JobSpec>& jobs, const TrialRun& sequential,
+                 const TrialRun& pooled, int trial) {
+  SCOPED_TRACE(describe(s, trial));
+
+  // Differential: the pooled stream must be bit-identical, record for
   // record, to the sequential one; to_string() decodes the first divergent
   // record on both sides.
-  const DivergenceReport diff =
-      compare_streams(sequential_rec.snapshot(), parallel_rec.snapshot());
+  const DivergenceReport diff = compare_streams(sequential.stream, pooled.stream);
+  ASSERT_GT(sequential.stream.size(), 0u);
   ASSERT_TRUE(diff.identical) << diff.to_string();
-  EXPECT_EQ(sequential.stats.recorder_hash, parallel.stats.recorder_hash);
+  EXPECT_EQ(sequential.result.stats.recorder_hash, pooled.result.stats.recorder_hash);
 
+  const SimResult& r = pooled.result;
   // Chaos invariant 1: every job completes.
-  ASSERT_EQ(parallel.jobs.size(), jobs.size());
-  for (const auto& j : parallel.jobs) {
+  ASSERT_EQ(r.jobs.size(), jobs.size());
+  for (const auto& j : r.jobs) {
     EXPECT_GE(j.finish_seconds, j.arrival_seconds) << "job " << j.id;
   }
   // Invariant 2: no leaked allocations after the last job.
-  EXPECT_EQ(parallel.stats.leaked_cpu, 0.0);
-  EXPECT_EQ(parallel.stats.leaked_mem, 0.0);
-  EXPECT_EQ(parallel.stats.leaked_active_copies, 0);
+  EXPECT_EQ(r.stats.leaked_cpu, 0.0);
+  EXPECT_EQ(r.stats.leaked_mem, 0.0);
+  EXPECT_EQ(r.stats.leaked_active_copies, 0);
   // Invariant 3: copy conservation — every launch finishes or is killed.
-  EXPECT_EQ(parallel.total_copies_launched,
-            parallel.stats.copies_finished + parallel.stats.copies_killed);
-  // Invariant 4: bounded degradation versus the healthy sequential twin
-  // (catches livelock/runaway, not performance).
+  EXPECT_EQ(r.total_copies_launched, r.stats.copies_finished + r.stats.copies_killed);
+  // Invariant 4: bounded degradation versus the healthy twin (catches
+  // livelock/runaway, not performance).
   SimConfig healthy = s.config;
   healthy.failures.enabled = false;
   healthy.faults = FaultConfig{};
   DollyMPScheduler healthy_scheduler(s.policy);
   const SimResult baseline = simulate(cluster, healthy, jobs, healthy_scheduler);
-  EXPECT_LE(parallel.makespan_seconds, baseline.makespan_seconds * 50.0 + 1800.0);
-  // Invariant 5: replay determinism of the parallel config itself — a
-  // second parallel run reproduces the same stream.
-  SimConfig replay_config = s.config;
-  replay_config.threads = s.threads;
-  const DivergenceReport replay =
-      verify_replay(cluster, replay_config, jobs,
-                    [&s] { return std::make_unique<DollyMPScheduler>(s.policy); });
+  EXPECT_LE(r.makespan_seconds, baseline.makespan_seconds * 50.0 + 1800.0);
+  // Invariant 5: replay determinism — a second run of the same config
+  // reproduces the same stream.
+  const DivergenceReport replay = verify_replay(
+      cluster, s.config, jobs, [&s] { return std::make_unique<DollyMPScheduler>(s.policy); });
   EXPECT_TRUE(replay.identical) << replay.to_string();
 }
 
 TEST(ParallelFuzz, RandomConfigsSequentialVsParallel) {
+  constexpr int kTrials = 12;
+  const Cluster cluster = Cluster::paper30();
   Rng rng(0xD011FA55F0225EEDULL);
-  for (int trial = 0; trial < 12; ++trial) {
-    FuzzScenario s = draw_scenario(rng);
-    run_trial(s, trial);
+  std::vector<FuzzScenario> scenarios;
+  std::vector<std::vector<JobSpec>> workloads;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    scenarios.push_back(draw_scenario(rng));
+    ASSERT_NO_THROW(scenarios.back().config.validate()) << describe(scenarios.back(), trial);
+    workloads.push_back(fuzz_workload(scenarios.back()));
+  }
+
+  std::vector<TrialRun> sequential;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    sequential.push_back(run_scenario(cluster, scenarios[trial], workloads[trial]));
+  }
+
+  ThreadPool pool(4);
+  const std::vector<TrialRun> pooled =
+      parallel_map(pool, scenarios.size(), [&](std::size_t i) {
+        return run_scenario(cluster, scenarios[i], workloads[i]);
+      });
+
+  for (int trial = 0; trial < kTrials; ++trial) {
+    check_trial(cluster, scenarios[trial], workloads[trial], sequential[trial],
+                pooled[trial], trial);
   }
 }
 

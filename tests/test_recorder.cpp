@@ -3,7 +3,9 @@
 // SimStats after an instrumented simulation run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -145,10 +147,19 @@ TEST(TraceLog, SaveLoadRoundTrip) {
     records.push_back(r);
   }
   const std::string path = ::testing::TempDir() + "dollymp_trace_roundtrip.dmptrc";
-  save_log(path, records, 2.5, 4);
+  save_log(path, records, 2.5);
+  {
+    // DMPTRC02 header: magic, slot_seconds, then the thread-count slot,
+    // which a sequential run always fills with 1.
+    std::ifstream in(path, std::ios::binary);
+    char header[24];
+    ASSERT_TRUE(in.read(header, sizeof(header)));
+    std::int64_t threads = 0;
+    std::memcpy(&threads, header + 16, sizeof(threads));
+    EXPECT_EQ(threads, 1);
+  }
   const TraceLog loaded = load_log(path);
   EXPECT_DOUBLE_EQ(loaded.slot_seconds, 2.5);
-  EXPECT_EQ(loaded.threads_resolved, 4);
   ASSERT_EQ(loaded.records.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(loaded.records[i], records[i]) << "record " << i;
@@ -157,7 +168,7 @@ TEST(TraceLog, SaveLoadRoundTrip) {
 }
 
 TEST(TraceLog, ReadsLegacyV1Header) {
-  // A DMPTRC01 file has no threads_resolved field: slot_seconds is followed
+  // A DMPTRC01 file has no thread-count slot: slot_seconds is followed
   // directly by the record count.  Hand-assemble an empty one.
   const std::string path = ::testing::TempDir() + "dollymp_trace_legacy.dmptrc";
   {
@@ -170,7 +181,6 @@ TEST(TraceLog, ReadsLegacyV1Header) {
   }
   const TraceLog loaded = load_log(path);
   EXPECT_DOUBLE_EQ(loaded.slot_seconds, 3.0);
-  EXPECT_EQ(loaded.threads_resolved, 1) << "legacy files default to serial";
   EXPECT_TRUE(loaded.records.empty());
   std::remove(path.c_str());
 }

@@ -9,10 +9,9 @@
 //      steady-state churn from its free lists without new blocks.
 //   2. ServerTable-backed Server views vs a plain struct mirror — random
 //      allocate / release / copy-counter / flag traffic.
-//   3. The full simulator across random scenarios x threads {1, 4} —
-//      recorder streams bit-identical and SimStats equal field by field
-//      (the test_parallel_fuzz pattern, aimed at the new layout's sharded
-//      reads over dense arrays).
+//   3. The full simulator across random scenarios, placement index vs
+//      linear scan — recorder streams bit-identical and SimStats equal
+//      field by field over the dense arrays both paths read.
 #include "dollymp/sim/runtime_store.h"
 
 #include <gtest/gtest.h>
@@ -242,12 +241,12 @@ TEST(ServerTableFuzz, ModelInterningDeduplicates) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Randomized end-to-end: policies x faults x threads {1, 4}
+// 3. Randomized end-to-end: policies x faults, index vs linear scan
 // ---------------------------------------------------------------------------
 
-/// Field-by-field SimStats equality (the test_parallel_equivalence list,
-/// including the layout counters; peak_rss/wall_clock excluded as
-/// host-dependent, parallel_* as shard geometry).
+/// Field-by-field SimStats equality, including the layout counters;
+/// peak_rss/wall_clock excluded as host-dependent, index_* because only
+/// the indexed run queries the index.
 void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string& label) {
 #define DMP_EXPECT_FIELD(field) EXPECT_EQ(a.field, b.field) << label << ": " #field
   DMP_EXPECT_FIELD(scheduler_invocations);
@@ -276,7 +275,7 @@ void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string&
 #undef DMP_EXPECT_FIELD
 }
 
-TEST(RuntimeStoreFuzz, RandomScenariosThreads1Vs4) {
+TEST(RuntimeStoreFuzz, RandomScenariosIndexVsLinearScan) {
   Rng rng(0x570FE);
   const auto policies = layout_golden::all_policies();
   const Cluster cluster = Cluster::paper30();
@@ -296,22 +295,23 @@ TEST(RuntimeStoreFuzz, RandomScenariosThreads1Vs4) {
     SimConfig config = layout_golden::matrix_config(faults);
     config.seed = rng.below(1u << 20) + 1;
 
-    const auto run = [&](int threads, Recorder& rec) {
+    const auto run = [&](bool index, Recorder& rec) {
       SimConfig c = config;
-      c.threads = threads;
+      c.use_placement_index = index;
       c.recorder = &rec;
       auto sched = policy.factory();
       return simulate(cluster, c, jobs, *sched);
     };
-    Recorder rec1;
-    const SimResult sequential = run(1, rec1);
-    Recorder rec4;
-    const SimResult parallel = run(4, rec4);
+    Recorder linear_rec;
+    const SimResult linear = run(false, linear_rec);
+    Recorder indexed_rec;
+    const SimResult indexed = run(true, indexed_rec);
 
-    const DivergenceReport diff = compare_streams(rec1.snapshot(), rec4.snapshot());
+    const DivergenceReport diff =
+        compare_streams(linear_rec.snapshot(), indexed_rec.snapshot());
     ASSERT_TRUE(diff.identical) << label << "\n" << diff.to_string();
-    expect_stats_equal(sequential.stats, parallel.stats, label);
-    EXPECT_EQ(sequential.makespan_seconds, parallel.makespan_seconds) << label;
+    expect_stats_equal(linear.stats, indexed.stats, label);
+    EXPECT_EQ(linear.makespan_seconds, indexed.makespan_seconds) << label;
   }
 }
 

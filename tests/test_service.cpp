@@ -1,12 +1,13 @@
 // Service-mode acceptance tests (DESIGN.md §4.8): streaming arrival
-// determinism, checkpoint/restore bit-identity across the policy × faults ×
-// threads matrix, corrupted-snapshot rejection, and copy-on-write what-if
+// determinism, checkpoint/restore bit-identity across the policy × faults
+// matrix, corrupted-snapshot rejection, and copy-on-write what-if
 // forks that leave the parent's stream untouched.
 #include "dollymp/service/session.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -16,6 +17,7 @@
 
 #include "dollymp/common/state_io.h"
 #include "dollymp/service/arrival_source.h"
+#include "dollymp/sim/sim_core.h"
 
 namespace dollymp {
 namespace {
@@ -28,12 +30,11 @@ ArrivalConfig light_arrivals() {
   return arrivals;
 }
 
-ServiceConfig service_config(const std::string& policy, bool faults, int threads) {
+ServiceConfig service_config(const std::string& policy, bool faults) {
   ServiceConfig config;
   config.policy = policy;
   config.arrivals = light_arrivals();
   config.sim.seed = 5;
-  config.sim.threads = threads;
   if (faults) {
     config.sim.failures.enabled = true;
     config.sim.failures.mean_time_to_failure_seconds = 900.0;
@@ -211,16 +212,6 @@ TEST(ServiceValidation, UnknownPolicyMessageListsKnownNames) {
 TEST(ServiceValidation, SimConfigCoversModulationKnobs) {
   {
     SimConfig config;
-    config.event_shards = 0;
-    EXPECT_THROW(config.validate(), std::invalid_argument);
-  }
-  {
-    SimConfig config;
-    config.event_shards = 65;
-    EXPECT_THROW(config.validate(), std::invalid_argument);
-  }
-  {
-    SimConfig config;
     config.slot_seconds = std::numeric_limits<double>::infinity();
     EXPECT_THROW(config.validate(), std::invalid_argument);
   }
@@ -252,23 +243,17 @@ constexpr SimTime kT2 = 240;  // comparison horizon (slots)
 struct MatrixCell {
   const char* policy;
   bool faults;
-  int threads;
 };
 
 TEST(ServiceCheckpoint, RestoredRunIsBitIdenticalAcrossMatrix) {
   const std::vector<MatrixCell> cells = {
-      {"dollymp2", false, 1}, {"dollymp2", false, 8},
-      {"dollymp2", true, 1},  {"dollymp2", true, 8},
-      {"drf", false, 1},      {"drf", false, 8},
-      {"drf", true, 1},       {"drf", true, 8},
-      {"tetris", false, 1},   {"tetris", false, 8},
-      {"tetris", true, 1},    {"tetris", true, 8},
+      {"dollymp2", false}, {"dollymp2", true}, {"drf", false},
+      {"drf", true},       {"tetris", false},  {"tetris", true},
   };
   int cell_index = 0;
   for (const auto& cell : cells) {
-    SCOPED_TRACE(std::string(cell.policy) + (cell.faults ? "/faults" : "/clean") +
-                 "/threads=" + std::to_string(cell.threads));
-    const ServiceConfig config = service_config(cell.policy, cell.faults, cell.threads);
+    SCOPED_TRACE(std::string(cell.policy) + (cell.faults ? "/faults" : "/clean"));
+    const ServiceConfig config = service_config(cell.policy, cell.faults);
     const std::string path =
         temp_path("dollymp_service_ckpt_" + std::to_string(cell_index++) + ".ckpt");
 
@@ -300,7 +285,7 @@ TEST(ServiceCheckpoint, CheckpointingDoesNotPerturbTheRun) {
   // The stream is a deterministic function of (config, run_until horizon
   // sequence) — ingest chunk boundaries decide whether a job reuses a
   // recycled slot — so both sessions pause at kT1; only one checkpoints.
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
 
   Session plain(Cluster::paper30(), config);
   plain.run_until(kT1);
@@ -316,7 +301,7 @@ TEST(ServiceCheckpoint, CheckpointingDoesNotPerturbTheRun) {
 }
 
 TEST(ServiceCheckpoint, StreamIsDeterministicForSameHorizonSequence) {
-  const ServiceConfig config = service_config("dollymp2", true, 1);
+  const ServiceConfig config = service_config("dollymp2", true);
   Session a(Cluster::paper30(), config);
   Session b(Cluster::paper30(), config);
   for (SimTime t = 40; t <= kT2; t += 40) {
@@ -328,7 +313,7 @@ TEST(ServiceCheckpoint, StreamIsDeterministicForSameHorizonSequence) {
 }
 
 TEST(ServiceCheckpoint, RejectsCorruptedAndTruncatedSnapshots) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   const std::string path = temp_path("dollymp_service_corrupt.ckpt");
   Session session(Cluster::paper30(), config);
   session.run_until(kT1);
@@ -393,10 +378,28 @@ void put_i32(std::vector<std::uint8_t>& payload, std::size_t at, std::int32_t v)
   }
 }
 
+/// Offset of the raw SimEvent bytes of the first pending heap event whose
+/// kind satisfies `pick`.
+std::size_t find_heap_event(const std::vector<std::uint8_t>& payload,
+                            bool (*pick)(EvKind)) {
+  std::size_t at = after_section(payload, 0x48454150u);  // 'HEAP'
+  const std::uint64_t count = get_u64(payload, at);
+  at += 8;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::size_t event_at = at + 4;  // past the record-size word
+    if (pick(static_cast<EvKind>(payload[event_at + offsetof(SimEvent, kind)]))) {
+      return event_at;
+    }
+    at = event_at + sizeof(SimEvent);
+  }
+  throw std::logic_error("no matching heap event");
+}
+
 /// Seal `payload` in a fresh envelope (valid hash), write it and restore
-/// from it; the restore must throw a typed snapshot error.
+/// from it; the restore must throw a typed snapshot error, naming `what`
+/// when given.
 void expect_snapshot_error(const std::vector<std::uint8_t>& payload, const ServiceConfig& config,
-                           const std::string& name) {
+                           const std::string& name, const std::string& what = "") {
   StateWriter w;
   w.bytes(payload.data(), payload.size());
   const std::string path = temp_path(name);
@@ -406,11 +409,12 @@ void expect_snapshot_error(const std::vector<std::uint8_t>& payload, const Servi
     ADD_FAILURE() << name << ": restore accepted a structurally bad payload";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()).rfind("snapshot:", 0), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
   }
 }
 
 TEST(ServiceCheckpoint, ResealedHugeCountsAndBadIndicesThrowTypedErrors) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session session(Cluster::paper30(), config);
   session.run_until(kT1);
   const std::vector<std::uint8_t> sealed = session.serialize();
@@ -461,12 +465,40 @@ TEST(ServiceCheckpoint, ResealedHugeCountsAndBadIndicesThrowTypedErrors) {
     expect_snapshot_error(bad, config,
                           "dollymp_service_bad_active_" + std::to_string(index) + ".ckpt");
   }
+  {
+    // A pending completion naming the job slot one past the restored ones.
+    auto bad = payload;
+    const std::uint64_t slots = get_u64(payload, after_section(payload, 0x53504543u));
+    const std::size_t event_at =
+        find_heap_event(bad, [](EvKind kind) { return kind == EvKind::kCompletion; });
+    put_i32(bad, event_at + offsetof(SimEvent, job_index),
+            static_cast<std::int32_t>(slots));
+    expect_snapshot_error(bad, config, "dollymp_service_bad_event_job.ckpt",
+                          "heap event job");
+  }
+  {
+    // A pending machine event naming the server one past the cluster.
+    const ServiceConfig faulty = service_config("dollymp2", true);
+    Session faulted(Cluster::paper30(), faulty);
+    faulted.run_until(kT1);
+    const std::vector<std::uint8_t> faulted_sealed = faulted.serialize();
+    std::vector<std::uint8_t> bad(
+        faulted_sealed.begin() + static_cast<std::ptrdiff_t>(header),
+        faulted_sealed.end() - 8);
+    const std::size_t event_at = find_heap_event(bad, [](EvKind kind) {
+      return kind == EvKind::kServerFailure || kind == EvKind::kServerRepair;
+    });
+    put_i32(bad, event_at + offsetof(SimEvent, server),
+            static_cast<std::int32_t>(Cluster::paper30().size()));
+    expect_snapshot_error(bad, faulty, "dollymp_service_bad_event_server.ckpt",
+                          "heap event server");
+  }
 }
 
 // ---- what-if forks ----------------------------------------------------------
 
 TEST(ServiceFork, SamePolicyForkReplaysParentsFutureAndLeavesParentAlone) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   const std::uint64_t parent_hash_at_fork = parent.stream_hash();
@@ -489,7 +521,7 @@ TEST(ServiceFork, SamePolicyForkReplaysParentsFutureAndLeavesParentAlone) {
 }
 
 TEST(ServiceFork, PolicySwitchForkDivergesWithoutPerturbingParent) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   const std::uint64_t parent_hash_at_fork = parent.stream_hash();
@@ -510,7 +542,7 @@ TEST(ServiceFork, PolicySwitchForkDivergesWithoutPerturbingParent) {
 }
 
 TEST(ServiceFork, QuarantineForkTakesServersOutOfService) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
 
@@ -526,7 +558,7 @@ TEST(ServiceFork, QuarantineForkTakesServersOutOfService) {
 }
 
 TEST(ServiceFork, QuarantineOutOfRangeThrows) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(8);
 
@@ -538,7 +570,7 @@ TEST(ServiceFork, QuarantineOutOfRangeThrows) {
 TEST(ServiceFork, ForkSurvivesParentSegmentReaping) {
   // The child holds the parent's spec segments via shared_ptr, so even after
   // the parent reaps every drained segment the child's jobs stay valid.
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   auto child = parent.fork({});
@@ -551,7 +583,7 @@ TEST(ServiceFork, ForkSurvivesParentSegmentReaping) {
 // ---- memory bound -----------------------------------------------------------
 
 TEST(ServiceMemory, RetainedSpecsTrackLiveJobsNotTotalArrivals) {
-  ServiceConfig config = service_config("dollymp2", false, 1);
+  ServiceConfig config = service_config("dollymp2", false);
   config.arrivals.rate_per_second = 0.2;
   Session session(Cluster::paper30(), config);
   std::size_t peak_retained = 0;

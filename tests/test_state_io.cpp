@@ -89,6 +89,25 @@ TEST(StateIo, RejectsPayloadCorruption) {
       std::runtime_error);
 }
 
+TEST(StateIo, RejectsOtherVersionsWithValidHash) {
+  // The payload hash does not cover the version word, so rewriting it
+  // leaves an envelope that only the version check can reject.
+  for (const std::uint32_t version : {kStateVersion - 1, kStateVersion + 1}) {
+    auto bytes = sample_envelope();
+    for (int i = 0; i < 4; ++i) {
+      bytes[9 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(version >> (8 * i));
+    }
+    try {
+      StateReader r(bytes);
+      FAIL() << "version " << version << " must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "snapshot: unsupported DMPCKPT01 version " + std::to_string(version));
+    }
+  }
+}
+
 TEST(StateIo, RejectsTruncation) {
   auto bytes = sample_envelope();
   bytes.resize(bytes.size() - 9);

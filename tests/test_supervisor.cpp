@@ -1,7 +1,7 @@
 // Crash-safe supervised recovery (DESIGN.md §4.9): a SIGKILL at any point
 // of the run must not change a single byte of the decision stream.  The
 // kill-at matrix below reruns the same workload with crashes injected
-// mid-stride across policy × faults × threads and demands the recovered
+// mid-stride across policy × faults and demands the recovered
 // continuation's stream hash equal the uninterrupted run's — plus the
 // sharp-edge paths: corrupted-latest fallback, quarantined-resume refusal,
 // and the restart budget.
@@ -31,11 +31,10 @@ constexpr SimTime kStride = 256;
 /// A moderately loaded service config with the overload layer ON, so the
 /// recovery proof covers the admission gate, governor and SLO window state
 /// riding in the snapshots — not just the simulator core.
-ServiceConfig supervised_config(const std::string& policy, bool faults, int threads) {
+ServiceConfig supervised_config(const std::string& policy, bool faults) {
   ServiceConfig config;
   config.policy = policy;
   config.sim.seed = 5;
-  config.sim.threads = threads;
   config.pump_slots = 64;
   config.arrivals.rate_per_second = 0.1;
   config.arrivals.mean_input_gb = 1.5;
@@ -86,39 +85,36 @@ TEST(Supervisor, KillAtAnyPointRecoversBitIdentical) {
   const std::vector<SimTime> kills = {130, 500, 650};
   for (const std::string policy : {"dollymp2", "drf", "tetris"}) {
     for (const bool faults : {false, true}) {
-      for (const int threads : {1, 8}) {
-        const std::string label =
-            policy + (faults ? "+faults" : "") + "@t" + std::to_string(threads);
-        const ServiceConfig config = supervised_config(policy, faults, threads);
-        const std::string base = temp_base("sup_matrix");
-        scrub_rotation(base);
+      const std::string label = policy + (faults ? "+faults" : "");
+      const ServiceConfig config = supervised_config(policy, faults);
+      const std::string base = temp_base("sup_matrix");
+      scrub_rotation(base);
 
-        const SupervisorResult clean =
-            run_supervised(Cluster::paper30(), config, supervised_options(base));
-        EXPECT_EQ(clean.final_clock, kHorizon) << label;
-        EXPECT_EQ(clean.restarts, 0) << label;
+      const SupervisorResult clean =
+          run_supervised(Cluster::paper30(), config, supervised_options(base));
+      EXPECT_EQ(clean.final_clock, kHorizon) << label;
+      EXPECT_EQ(clean.restarts, 0) << label;
 
-        scrub_rotation(base);
-        SupervisorOptions crashy = supervised_options(base);
-        crashy.kill_at_slots = kills;
-        const SupervisorResult recovered =
-            run_supervised(Cluster::paper30(), config, crashy);
-        EXPECT_EQ(recovered.restarts, static_cast<int>(kills.size())) << label;
-        EXPECT_EQ(recovered.final_clock, clean.final_clock) << label;
-        EXPECT_EQ(recovered.stream_hash, clean.stream_hash) << label;
-        EXPECT_EQ(recovered.records_written, clean.records_written) << label;
-        EXPECT_EQ(recovered.jobs_ingested, clean.jobs_ingested) << label;
-        EXPECT_EQ(recovered.jobs_completed, clean.jobs_completed) << label;
-        EXPECT_EQ(recovered.arrivals_shed, clean.arrivals_shed) << label;
-        EXPECT_EQ(recovered.snapshots_quarantined, 0) << label;
-        scrub_rotation(base);
-      }
+      scrub_rotation(base);
+      SupervisorOptions crashy = supervised_options(base);
+      crashy.kill_at_slots = kills;
+      const SupervisorResult recovered =
+          run_supervised(Cluster::paper30(), config, crashy);
+      EXPECT_EQ(recovered.restarts, static_cast<int>(kills.size())) << label;
+      EXPECT_EQ(recovered.final_clock, clean.final_clock) << label;
+      EXPECT_EQ(recovered.stream_hash, clean.stream_hash) << label;
+      EXPECT_EQ(recovered.records_written, clean.records_written) << label;
+      EXPECT_EQ(recovered.jobs_ingested, clean.jobs_ingested) << label;
+      EXPECT_EQ(recovered.jobs_completed, clean.jobs_completed) << label;
+      EXPECT_EQ(recovered.arrivals_shed, clean.arrivals_shed) << label;
+      EXPECT_EQ(recovered.snapshots_quarantined, 0) << label;
+      scrub_rotation(base);
     }
   }
 }
 
 TEST(Supervisor, FallsBackToPreviousGenerationWhenLatestIsCorrupt) {
-  const ServiceConfig config = supervised_config("dollymp2", false, 1);
+  const ServiceConfig config = supervised_config("dollymp2", false);
   const std::string base = temp_base("sup_fallback");
   scrub_rotation(base);
 
@@ -156,7 +152,7 @@ TEST(Supervisor, FallsBackToPreviousGenerationWhenLatestIsCorrupt) {
 }
 
 TEST(Supervisor, RefusesQuarantinedResumeSnapshot) {
-  const ServiceConfig config = supervised_config("dollymp2", false, 1);
+  const ServiceConfig config = supervised_config("dollymp2", false);
   SupervisorOptions options = supervised_options(temp_base("sup_refuse"));
   options.resume_from = options.snapshot_base + ".latest.quarantined.0";
   EXPECT_THROW(
@@ -172,7 +168,7 @@ TEST(Supervisor, RefusesQuarantinedResumeSnapshot) {
 }
 
 TEST(Supervisor, ExplicitResumeFromCheckpointContinues) {
-  const ServiceConfig config = supervised_config("dollymp2", false, 1);
+  const ServiceConfig config = supervised_config("dollymp2", false);
   const std::string base = temp_base("sup_resume");
   scrub_rotation(base);
   const std::string ckpt = base + ".explicit";
@@ -201,7 +197,7 @@ TEST(Supervisor, ExplicitResumeFromCheckpointContinues) {
 }
 
 TEST(Supervisor, RestartBudgetExhaustionThrows) {
-  const ServiceConfig config = supervised_config("dollymp2", false, 1);
+  const ServiceConfig config = supervised_config("dollymp2", false);
   const std::string base = temp_base("sup_budget");
   scrub_rotation(base);
   SupervisorOptions options = supervised_options(base);
@@ -222,7 +218,7 @@ TEST(Supervisor, RestartBudgetExhaustionThrows) {
 }
 
 TEST(Supervisor, OptionValidationRejectsBadSetups) {
-  const ServiceConfig config = supervised_config("dollymp2", false, 1);
+  const ServiceConfig config = supervised_config("dollymp2", false);
   const Cluster cluster = Cluster::paper30();
   auto reject = [&](auto&& mutate) {
     SupervisorOptions options = supervised_options(temp_base("sup_validate"));

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <thread>
 
 namespace dollymp {
 namespace {
@@ -38,24 +36,6 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ParallelFor, CoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ParallelFor, RethrowsFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 10,
-                            [](std::size_t i) {
-                              if (i == 5) throw std::logic_error("bad index");
-                            }),
-               std::logic_error);
-}
-
 TEST(ParallelMap, PreservesOrder) {
   ThreadPool pool(4);
   const auto result =
@@ -81,7 +61,6 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
   ThreadPool pool(2);
   pool.shutdown();
   EXPECT_THROW((void)pool.submit([] { return 1; }), std::runtime_error);
-  EXPECT_THROW(pool.post([] {}), std::runtime_error);
 }
 
 TEST(ThreadPool, ShutdownIsIdempotentAndDrains) {
@@ -95,97 +74,6 @@ TEST(ThreadPool, ShutdownIsIdempotentAndDrains) {
   EXPECT_EQ(pool.size(), 0u);
   pool.shutdown();  // second call is a no-op
   EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(ParallelFor, NullPoolRunsInlineOnCallingThread) {
-  const auto caller = std::this_thread::get_id();
-  std::vector<int> hits(64, 0);
-  bool all_inline = true;
-  parallel_for(nullptr, hits.size(), [&](std::size_t i) {
-    hits[i] += 1;
-    if (std::this_thread::get_id() != caller) all_inline = false;
-  });
-  EXPECT_TRUE(all_inline);
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelFor, PointerOverloadCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);  // not divisible by 4
-  parallel_for(&pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ShardRange, PartitionsEveryIndexExactlyOnce) {
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 100u, 101u}) {
-    for (const std::size_t shards : {1u, 2u, 3u, 4u, 7u, 16u}) {
-      std::vector<int> hits(n, 0);
-      std::size_t prev_end = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const auto [begin, end] = shard_range(s, shards, n);
-        EXPECT_EQ(begin, prev_end) << "gap/overlap at shard " << s;
-        EXPECT_LE(begin, end);
-        for (std::size_t i = begin; i < end; ++i) ++hits[i];
-        prev_end = end;
-      }
-      EXPECT_EQ(prev_end, n);
-      for (const int h : hits) EXPECT_EQ(h, 1);
-    }
-  }
-}
-
-TEST(ShardCount, SaturatesAtPoolSizeAndItemCount) {
-  ThreadPool pool(4);
-  EXPECT_EQ(shard_count(&pool, 0), 0u);
-  EXPECT_EQ(shard_count(&pool, 1), 1u);
-  EXPECT_EQ(shard_count(&pool, 3), 3u);
-  EXPECT_EQ(shard_count(&pool, 100), 4u);
-  EXPECT_EQ(shard_count(nullptr, 100), 1u);
-  ThreadPool single(1);
-  EXPECT_EQ(shard_count(&single, 100), 1u);
-}
-
-TEST(RunShards, LowestShardExceptionWins) {
-  ThreadPool pool(4);
-  // Both shard 1 and shard 3 throw on every attempt; the one the caller
-  // sees must deterministically be the lowest-numbered shard's.
-  for (int attempt = 0; attempt < 20; ++attempt) {
-    try {
-      run_shards(&pool, 4, 4, [](std::size_t s, std::size_t, std::size_t) {
-        if (s == 1) throw std::runtime_error("shard-1");
-        if (s == 3) throw std::runtime_error("shard-3");
-      });
-      FAIL() << "run_shards must rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "shard-1");
-    }
-  }
-}
-
-TEST(RunShards, SingleShardRunsInline) {
-  const auto caller = std::this_thread::get_id();
-  bool ran = false;
-  run_shards(nullptr, 1, 10, [&](std::size_t s, std::size_t begin, std::size_t end) {
-    EXPECT_EQ(s, 0u);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 10u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ran = true;
-  });
-  EXPECT_TRUE(ran);
-}
-
-TEST(ShardStatsTest, IgnoresSerialSectionsAndTracksWidestShard) {
-  ShardStats stats;
-  stats.note(1, 100);  // serial dispatch: not a parallel section
-  stats.note(0, 0);
-  EXPECT_EQ(stats.sections, 0);
-  stats.note(4, 10);  // shards of 3,3,2,2 -> widest ceil(10/4)=3
-  stats.note(2, 7);   // widest ceil(7/2)=4
-  EXPECT_EQ(stats.sections, 2);
-  EXPECT_EQ(stats.shards, 6);
-  EXPECT_EQ(stats.items, 17);
-  EXPECT_EQ(stats.max_shard_items, 4);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 //     --seed S              simulation seed            (default 1)
 //     --arrival-seed S      arrival stream seed        (default 1)
 //     --slot SECONDS        slot length                (default 5)
-//     --threads N           deterministic parallel core width
 //     --pump SLOTS          arrival pump chunk         (default 256)
 //     --failures MTBF:REPAIR  enable machine failures (seconds)
 //     --horizon SLOTS       one-shot run length        (default 2000)
@@ -103,7 +102,6 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint64_t arrival_seed = 1;
   double slot = 5.0;
-  int threads = 1;
   SimTime pump = 256;
   double failure_mtbf = 0.0;
   double failure_repair = 0.0;
@@ -142,7 +140,7 @@ struct Options {
       "                       [--policy NAME] [--rate R] [--diurnal AMP[:PERIOD]]\n"
       "                       [--flash MULT:START:DURATION] [--mean-gb X]\n"
       "                       [--seed S] [--arrival-seed S] [--slot SECONDS]\n"
-      "                       [--threads N] [--pump SLOTS] [--failures MTBF:REPAIR]\n"
+      "                       [--pump SLOTS] [--failures MTBF:REPAIR]\n"
       "                       [--horizon SLOTS] [--checkpoint FILE]\n"
       "                       [--checkpoint-every SECONDS] [--restore FILE]\n"
       "                       [--script FILE] [--repl] [--json]\n"
@@ -164,7 +162,7 @@ struct Options {
 const std::vector<std::string> kKnownFlags = {
     "--help",      "--cluster",  "--policy",       "--rate",
     "--diurnal",   "--flash",    "--mean-gb",      "--seed",
-    "--arrival-seed", "--slot",  "--threads",      "--pump",
+    "--arrival-seed", "--slot",  "--pump",
     "--failures",  "--horizon",  "--checkpoint",   "--checkpoint-every",
     "--restore",   "--script",   "--repl",         "--json",
     "--admission", "--bucket",   "--watermarks",   "--shed-fraction",
@@ -206,7 +204,6 @@ Options parse_options(int argc, char** argv) {
     else if (arg == "--seed") opt.seed = std::stoull(need_value(i));
     else if (arg == "--arrival-seed") opt.arrival_seed = std::stoull(need_value(i));
     else if (arg == "--slot") opt.slot = std::stod(need_value(i));
-    else if (arg == "--threads") opt.threads = std::stoi(need_value(i));
     else if (arg == "--pump") opt.pump = std::stoll(need_value(i));
     else if (arg == "--failures") {
       const auto parts = cli::split(need_value(i), ':');
@@ -288,7 +285,6 @@ ServiceConfig make_service_config(const Options& opt) {
   ServiceConfig config;
   config.sim.seed = opt.seed;
   config.sim.slot_seconds = opt.slot;
-  config.sim.threads = opt.threads;
   if (opt.failure_mtbf > 0.0) {
     config.sim.failures.enabled = true;
     config.sim.failures.mean_time_to_failure_seconds = opt.failure_mtbf;
