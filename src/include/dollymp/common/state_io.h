@@ -5,9 +5,18 @@
 // snapshot that silently drops or reorders a field is worse than one that
 // fails loudly.  StateWriter/StateReader therefore wrap every payload in a
 // framed envelope — a 9-byte magic ("DMPCKPT01"), a format version, the
-// payload length, and a trailing 64-bit FNV-1a hash over the payload — and
-// the reader rejects truncation, trailing garbage, bit corruption and
-// foreign files with a std::runtime_error naming what went wrong.
+// payload length, and a trailing 64-bit payload hash — and the reader
+// rejects truncation, trailing garbage, bit corruption and foreign files
+// with a std::runtime_error naming what went wrong.
+//
+// The payload hash reads 8-byte little-endian words in four independent
+// lanes with the XXH64 round (acc = rotl(acc + w*P2, 31) * P1), feeds the
+// tail of fewer than 32 bytes in byte-wise, folds the lanes and the payload
+// length, and finishes with an avalanche.  Every step is a bijection of its
+// lane, so any change confined to one word (or one tail byte) changes the
+// hash.  The writer seals in place: its buffer starts with the header slot,
+// and finish() patches the header, appends the hash and hands the buffer
+// over without copying the payload.
 //
 // Inside the envelope the encoding is deliberately dumb: little-endian
 // fixed-width integers, IEEE doubles by bit pattern, length-prefixed
@@ -27,18 +36,19 @@
 
 namespace dollymp {
 
-/// Seed/prime of the envelope's FNV-1a payload hash.
-inline constexpr std::uint64_t kStateHashSeed = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kStateHashPrime = 0x100000001b3ULL;
-
 /// The 9-byte format magic + current version.  Bump the version whenever a
 /// payload layout changes (a SimStats field added or removed shifts every
 /// later byte), so an older snapshot fails loudly instead of being misread.
 inline constexpr char kStateMagic[] = "DMPCKPT01";  // 9 chars + NUL
-inline constexpr std::uint32_t kStateVersion = 2;
+inline constexpr std::uint32_t kStateVersion = 3;
+/// Envelope header ahead of the payload: magic, u32 version, u64 length.
+inline constexpr std::size_t kStateHeaderBytes = 9 + 4 + 8;
 
 class StateWriter {
  public:
+  /// Starts the buffer with the zeroed envelope header slot.
+  StateWriter();
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
   void u32(std::uint32_t v) {
@@ -82,7 +92,8 @@ class StateWriter {
   void section(std::uint32_t tag) { u32(0x5EC70000u ^ tag); }
 
   /// Reserve an 8-byte length slot (nested blobs a reader may skip);
-  /// returns its position for patch_u64.
+  /// returns its position for patch_u64.  Positions (and size()) count the
+  /// envelope header slot, so only differences between them are meaningful.
   [[nodiscard]] std::size_t reserve_u64() {
     const std::size_t at = buf_.size();
     u64(0);
@@ -94,8 +105,9 @@ class StateWriter {
   }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
-  /// Seal the payload into the framed envelope (magic, version, length,
-  /// payload, FNV-1a hash).  The writer is consumed.
+  /// Seal the payload in place into the framed envelope (magic, version,
+  /// length, payload, hash) and hand the buffer over.  The writer is
+  /// consumed.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:

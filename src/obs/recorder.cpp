@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -85,6 +86,11 @@ void save_log(const std::string& path, const std::vector<TraceRecord>& records,
 TraceLog load_log(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_log: cannot open " + path);
+  // A directory opens too, and reading it throws std::ios_base::failure.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    throw std::runtime_error("load_log: " + path + " is not a regular file");
+  }
   std::string blob((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   const char* p = blob.data();
   const char* end = p + blob.size();
@@ -100,7 +106,11 @@ TraceLog load_log(const std::string& path) {
   log.slot_seconds = take<double>(p, end);
   if (v2) (void)take<std::int64_t>(p, end);  // thread-count slot
   const auto count = take<std::uint64_t>(p, end);
-  if ((end - p) != static_cast<std::ptrdiff_t>(count * kTraceRecordWireBytes)) {
+  // Divide rather than multiply: count * kTraceRecordWireBytes can wrap
+  // around to the remaining byte count and size a huge reserve.
+  const auto remaining = static_cast<std::uint64_t>(end - p);
+  if (remaining % kTraceRecordWireBytes != 0 ||
+      count != remaining / kTraceRecordWireBytes) {
     throw std::runtime_error("load_log: " + path + " has a corrupt record section");
   }
   log.records.reserve(count);

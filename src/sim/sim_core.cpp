@@ -883,11 +883,15 @@ void SimCore::fail_server(ServerId server_id) {
   // Kill every running copy on the failed machine.  Tasks left with no
   // running copy fall back into the needs-placement pool so schedulers
   // re-place them (from the surviving input-block replica in the locality
-  // model's terms).
+  // model's terms).  The server's running-copy counter is exact, so the
+  // walk stops once it reads zero: no later task has a copy left there.  It
+  // is re-read per task because an on_copy_fault callback may end copies.
+  const Server& server = cluster_.server(static_cast<std::size_t>(server_id));
   for (JobRuntime* job : active_) {
     for (auto& phase : job->phases) {
       if (phase.active_copies == 0) continue;
       for (std::size_t t = 0; t < phase.tasks.size(); ++t) {
+        if (server.running_copies() == 0) return;
         TaskRuntime& task = phase.tasks[t];
         bool killed_any = false;
         for (auto& copy : task.copies) {

@@ -37,10 +37,25 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+// The nothrow forms (std::stable_sort's temporary buffer) must come from the
+// same malloc/free pair and the same counter, as libstdc++'s own nothrow new
+// forwards to the throwing one.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace dollymp {
 namespace {

@@ -4,15 +4,20 @@
 // transient copy faults) plus their overlap with independent crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "dollymp/common/distributions.h"
+#include "dollymp/common/experiment.h"
 #include "dollymp/common/rng.h"
 #include "dollymp/sched/capacity.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sim/faults.h"
+#include "dollymp/sim/sim_core.h"
 #include "dollymp/sim/simulator.h"
+#include "dollymp/workload/arrivals.h"
+#include "dollymp/workload/trace_model.h"
 
 namespace dollymp {
 namespace {
@@ -385,6 +390,52 @@ TEST(FaultMatrix, BaselineSchedulerSurvivesFullMatrix) {
   const SimResult result = simulate(cluster, config, workload(15), scheduler);
   ASSERT_EQ(result.jobs.size(), 15u);
   EXPECT_EQ(result.stats.leaked_active_copies, 0);
+}
+
+TEST(FaultMatrix, RunningCopyCountersMatchActiveCopiesAtEveryPause) {
+  // fail_server stops walking the active jobs once the failed server's
+  // running-copy counter reads zero; that is exact only while the counter
+  // equals the number of active copies naming the server.  Check it at
+  // every pause of a cloning policy under every fault class.
+  const Cluster cluster = Cluster::google_like(3000);
+  const SweepFaultPreset faults = make_fault_preset("all");
+  SimConfig config;
+  config.slot_seconds = 5.0;
+  config.seed = 11;
+  config.failures = faults.failures;
+  config.faults = faults.faults;
+  TraceModel model({}, 23);
+  std::vector<JobSpec> jobs = model.sample_jobs(120);
+  assign_poisson_arrivals(jobs, 10.0, 24);
+
+  DollyMPScheduler scheduler;
+  SimCore core(cluster, config);
+  core.ingest(jobs);
+  core.begin(scheduler);
+  std::vector<int> expected(core.cluster().size());
+  int pauses = 0;
+  for (SimTime horizon = 0;; horizon += 7) {
+    const StepOutcome outcome = core.step_until(horizon);
+    std::fill(expected.begin(), expected.end(), 0);
+    for (JobRuntime* job : core.active_jobs()) {
+      for (const auto& phase : job->phases) {
+        for (const auto& task : phase.tasks) {
+          for (const auto& copy : task.copies) {
+            if (copy.active) ++expected[static_cast<std::size_t>(copy.server)];
+          }
+        }
+      }
+    }
+    for (std::size_t s = 0; s < expected.size(); ++s) {
+      ASSERT_EQ(core.cluster().server(s).running_copies(), expected[s])
+          << "server " << s << " at slot " << core.now();
+    }
+    ++pauses;
+    if (outcome == StepOutcome::kFinished) break;
+  }
+  EXPECT_GT(pauses, 10);
+  EXPECT_GT(core.stats().copies_killed_by_faults, 0) << "faults must kill copies";
+  EXPECT_GT(core.stats().events_server_failure, 0);
 }
 
 }  // namespace

@@ -195,6 +195,46 @@ TEST(TraceLog, RejectsForeignFile) {
   std::remove(path.c_str());
 }
 
+void expect_load_error(const std::string& path, const std::string& needle) {
+  try {
+    (void)load_log(path);
+    FAIL() << path << " must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(TraceLog, RejectsDirectoryWithTypedError) {
+  // A directory opens as a stream, but reading it throws
+  // std::ios_base::failure; the loader must refuse it up front.
+  expect_load_error(::testing::TempDir(), "not a regular file");
+}
+
+TEST(TraceLog, RejectsRecordCountWhoseByteSizeWraps) {
+  // Two records plus one stray byte leave 107 bytes after the header.  A
+  // count c with c * kTraceRecordWireBytes == 107 (mod 2^64) exists because
+  // the record size is odd; the loader must not trust the wrapped product.
+  const std::string path = ::testing::TempDir() + "dollymp_trace_wrap.dmptrc";
+  save_log(path, {make_record(1, TraceEv::kJobArrival, 0),
+                  make_record(2, TraceEv::kJobCompleted, 0)},
+           5.0);
+  std::uint64_t inverse = kTraceRecordWireBytes;  // Newton: odd x is its own inverse mod 8
+  for (int i = 0; i < 6; ++i) inverse *= 2 - kTraceRecordWireBytes * inverse;
+  const std::uint64_t remaining = 2 * kTraceRecordWireBytes + 1;
+  const std::uint64_t count = remaining * inverse;
+  ASSERT_EQ(count * kTraceRecordWireBytes, remaining);
+  ASSERT_GT(count, std::uint64_t{1} << 32);
+  {
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(24);  // magic, slot_seconds, thread slot
+    io.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    io.seekp(0, std::ios::end);
+    io.put('\0');
+  }
+  expect_load_error(path, "corrupt record section");
+  std::remove(path.c_str());
+}
+
 TEST(Recorder, DecodeMentionsEveryMeaningfulField) {
   auto r = make_record(42, TraceEv::kClonePlaced, 3);
   r.seq = 7;

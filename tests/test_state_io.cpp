@@ -108,6 +108,92 @@ TEST(StateIo, RejectsOtherVersionsWithValidHash) {
   }
 }
 
+std::uint64_t stored_hash(const std::vector<std::uint8_t>& envelope) {
+  std::uint64_t h = 0;
+  for (int i = 0; i < 8; ++i) {
+    h |= static_cast<std::uint64_t>(envelope[envelope.size() - 8 + static_cast<std::size_t>(i)])
+         << (8 * i);
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> seal_counting_bytes(std::size_t n) {
+  StateWriter w;
+  for (std::size_t i = 0; i < n; ++i) w.u8(static_cast<std::uint8_t>(i * 7 + 3));
+  return w.finish();
+}
+
+TEST(StateIo, PayloadHashKnownAnswers) {
+  // Pinned values: changing the envelope hash (or its word order) must come
+  // with a kStateVersion bump, or old snapshots would read as corrupted.
+  EXPECT_EQ(stored_hash(seal_counting_bytes(0)), 0xc1620d0a2dcaa9d2ull);
+  EXPECT_EQ(stored_hash(seal_counting_bytes(100)), 0x1d78e51b91903011ull);
+}
+
+TEST(StateIo, EverySingleByteChangeIsRejectedByTheHash) {
+  const auto bytes = sample_envelope();
+  for (std::size_t at = kStateHeaderBytes; at + 8 < bytes.size(); ++at) {
+    for (const std::uint8_t flip : {0x01, 0x80, 0xFF, 0x5A}) {
+      auto corrupt = bytes;
+      corrupt[at] ^= flip;
+      try {
+        StateReader r(corrupt);
+        FAIL() << "byte " << at << " ^ " << int{flip} << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("hash"), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
+TEST(StateIo, RoundTripsAcrossLaneAndTailBoundaries) {
+  // Lengths 0-70 cover empty, tail-only, exactly one and two 32-byte
+  // stripes, and every tail length after them.
+  for (std::size_t n = 0; n <= 70; ++n) {
+    const auto bytes = seal_counting_bytes(n);
+    ASSERT_EQ(bytes.size(), kStateHeaderBytes + n + 8) << "length " << n;
+    StateReader r(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(r.u8(), static_cast<std::uint8_t>(i * 7 + 3)) << "length " << n;
+    }
+    EXPECT_NO_THROW(r.expect_done());
+  }
+}
+
+TEST(StateIo, ParentFormatSnapshotFailsTheVersionCheck) {
+  // A version-2 envelope as the previous format wrote it: same header,
+  // payload sealed with byte-at-a-time FNV-1a.  It must be refused by the
+  // version check, not reported as a hash mismatch.
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  std::vector<std::uint8_t> bytes(kStateMagic, kStateMagic + 9);
+  const auto put = [&bytes](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put(2, 4);
+  put(payload.size(), 8);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : payload) fnv = (fnv ^ b) * 0x100000001b3ULL;
+  put(fnv, 8);
+  try {
+    StateReader r(bytes);
+    FAIL() << "a version-2 snapshot must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "snapshot: unsupported DMPCKPT01 version 2");
+  }
+}
+
+TEST(StateIo, ReadStateFileRejectsDirectory) {
+  // ftell on a directory is no file size; it must not size the buffer.
+  try {
+    (void)read_state_file(testing::TempDir());
+    FAIL() << "a directory must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a regular file"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(StateIo, RejectsTruncation) {
   auto bytes = sample_envelope();
   bytes.resize(bytes.size() - 9);

@@ -135,7 +135,8 @@ struct Options {
       "                       per-server lanes (open at https://ui.perfetto.dev)\n"
       "  --log-out FILE       record the run and write the binary flight log\n"
       "  --verify-log FILE    run once and verify against a saved flight log;\n"
-      "                       exit 1 with the first divergent record on mismatch\n"
+      "                       exit 1 with the first divergent record on mismatch,\n"
+      "                       exit 3 when the log cannot be loaded\n"
       "  --flight-recorder N  bounded ring of the newest N records, decoded to\n"
       "                       stderr when the run throws (dump-on-anomaly)\n"
       "  --verify-replay      run the config twice, compare the record streams,\n"
@@ -408,7 +409,13 @@ int main(int argc, char** argv) {
       identical = identical && report.identical;
     }
     if (!opt.verify_log.empty()) {
-      const TraceLog reference = load_log(opt.verify_log);
+      TraceLog reference;
+      try {
+        reference = load_log(opt.verify_log);
+      } catch (const std::exception& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 3;
+      }
       const DivergenceReport report =
           verify_against_log(cluster, config, jobs, factory, reference.records);
       std::cout << "verify-log [" << opt.verify_log << "]: " << report.to_string()
