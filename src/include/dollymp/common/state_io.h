@@ -39,8 +39,11 @@ namespace dollymp {
 /// The 9-byte format magic + current version.  Bump the version whenever a
 /// payload layout changes (a SimStats field added or removed shifts every
 /// later byte), so an older snapshot fails loudly instead of being misread.
+/// Version 4 writes a recycled (free) job slot as a free-list entry, its
+/// extents and its JobRuntime scalars only (docs/ALGORITHMS.md §19.5);
+/// version 3 wrote every slot's records in full.
 inline constexpr char kStateMagic[] = "DMPCKPT01";  // 9 chars + NUL
-inline constexpr std::uint32_t kStateVersion = 3;
+inline constexpr std::uint32_t kStateVersion = 4;
 /// Envelope header ahead of the payload: magic, u32 version, u64 length.
 inline constexpr std::size_t kStateHeaderBytes = 9 + 4 + 8;
 
@@ -182,6 +185,14 @@ class StateReader {
   void skip(std::size_t n) {
     need(n);
     pos_ += n;
+  }
+  /// The next n payload bytes, consumed in place (no copy); valid as long
+  /// as the buffer the reader was built on.
+  [[nodiscard]] const std::uint8_t* take(std::size_t n) {
+    need(n);
+    const std::uint8_t* at = data_ + pos_;
+    pos_ += n;
+    return at;
   }
   [[nodiscard]] std::size_t remaining() const { return end_ - pos_; }
   /// End-of-payload check for callers that want to assert full consumption.

@@ -87,18 +87,24 @@ class RuntimeStore {
   /// Recyclable slots currently parked (streaming memory accounting).
   [[nodiscard]] std::size_t free_slot_count() const;
 
-  /// Per-slot free/live mask (1 = released), for checkpoint writers that
-  /// must not dereference a released slot's nulled spec pointer.
-  [[nodiscard]] std::vector<std::uint8_t> free_mask() const;
+  /// Released slot indices in reuse-pool order (shape by shape, each
+  /// shape's slots in release order).  A slot is free exactly when its
+  /// JobRuntime::spec is null.
+  [[nodiscard]] std::vector<std::uint32_t> free_slots() const;
 
-  /// Checkpoint/restore of every runtime record: flat arrays, extents,
-  /// per-task copy lists (content re-acquired from the slab on load — the
-  /// extent layout is not semantic) and the free-slot pool.  Spec pointers
-  /// are NOT serialized: load_state takes the per-slot JobSpec pointers
-  /// (deserialized by the caller, in slot order) and rebinds job.spec /
-  /// phase.spec from them.
+  /// Checkpoint/restore of the live runtime records.  Every slot keeps its
+  /// JobRuntime scalars and extents; only live slots write their phases,
+  /// tasks (copy lists re-acquired from the slab on load — the extent
+  /// layout is not semantic) and duration pools.  A free slot's records
+  /// carry nothing: rematerialize() overwrites all of them before reuse,
+  /// and no heap event can name a free slot.  Spec pointers are NOT
+  /// serialized: load_state takes one JobSpec pointer per slot, null for
+  /// exactly the slots in `free` (the saved free_slots() order), rebuilds
+  /// the free slots default-initialised and re-releases them in that
+  /// order, so slot reuse and the RNG draw order continue unchanged.
   void save_state(StateWriter& w) const;
-  void load_state(StateReader& r, const std::vector<const JobSpec*>& specs);
+  void load_state(StateReader& r, const std::vector<const JobSpec*>& specs,
+                  const std::vector<std::uint32_t>& free);
 
  private:
   struct JobExtent {
@@ -114,6 +120,34 @@ class RuntimeStore {
 
   /// Point every span at the current array locations (after relocation).
   void rebind_views();
+
+  /// Flat-array ranges [begin, end) covered by a run of slots.
+  struct SlotRun {
+    std::size_t phase_begin = 0;
+    std::size_t phase_end = 0;
+    std::size_t task_begin = 0;
+    std::size_t task_end = 0;
+    std::size_t pool_begin = 0;
+    std::size_t pool_end = 0;
+  };
+
+  /// Calls f(const SlotRun&) for each maximal run of consecutive live
+  /// slots.  Extents tile the flat arrays in slot order, so a run's
+  /// phases, tasks and pool entries are each one contiguous block, and a
+  /// store with no free slot is a single run.
+  template <typename F>
+  void for_each_live_run(F&& f) const;
+  /// Phase, task and pool-entry counts over every live run.
+  struct LiveCounts {
+    std::size_t phases = 0;
+    std::size_t tasks = 0;
+    std::size_t pool = 0;
+  };
+  [[nodiscard]] LiveCounts live_counts() const;
+
+  /// Check that the loaded extents tile the phase, task and pool arrays in
+  /// slot order (throws typed `snapshot:` errors) and size the arrays.
+  void size_from_extents();
 
   /// Rebuild a released slot's records in place for `spec` (same shape).
   void rematerialize(std::size_t job_index, const JobSpec& spec, double slot_seconds,

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "dollymp/common/state_io.h"
 
@@ -245,12 +249,12 @@ std::size_t RuntimeStore::free_slot_count() const {
   return n;
 }
 
-std::vector<std::uint8_t> RuntimeStore::free_mask() const {
-  std::vector<std::uint8_t> mask(jobs_.size(), 0);
+std::vector<std::uint32_t> RuntimeStore::free_slots() const {
+  std::vector<std::uint32_t> free;
   for (const auto& [shape, slots] : free_slots_) {
-    for (const std::uint32_t slot : slots) mask[slot] = 1;
+    free.insert(free.end(), slots.begin(), slots.end());
   }
-  return mask;
+  return free;
 }
 
 void RuntimeStore::rebind_views() {
@@ -266,12 +270,56 @@ void RuntimeStore::rebind_views() {
   }
 }
 
+template <typename F>
+void RuntimeStore::for_each_live_run(F&& f) const {
+  const std::size_t n = jobs_.size();
+  std::size_t j = 0;
+  while (j < n) {
+    if (jobs_[j].spec == nullptr) {
+      ++j;
+      continue;
+    }
+    SlotRun run;
+    run.phase_begin = job_extents_[j].phase_begin;
+    while (j < n && jobs_[j].spec != nullptr) ++j;
+    run.phase_end = job_extents_[j - 1].phase_begin + job_extents_[j - 1].phase_count;
+    const PhaseExtent& first = phase_extents_[run.phase_begin];
+    const PhaseExtent& last = phase_extents_[run.phase_end - 1];
+    run.task_begin = first.task_begin;
+    run.task_end = last.task_begin + last.task_count;
+    run.pool_begin = first.pool_begin;
+    run.pool_end = last.pool_begin + last.pool_count;
+    f(run);
+  }
+}
+
+RuntimeStore::LiveCounts RuntimeStore::live_counts() const {
+  LiveCounts live;
+  for_each_live_run([&live](const SlotRun& run) {
+    live.phases += run.phase_end - run.phase_begin;
+    live.tasks += run.task_end - run.task_begin;
+    live.pool += run.pool_end - run.pool_begin;
+  });
+  return live;
+}
+
 void RuntimeStore::save_state(StateWriter& w) const {
   w.section(0x53544F52u);  // 'STOR'
-  w.pod_vec(durations_);
+  const LiveCounts live = live_counts();
+
+  // Live duration pools first, packed, one bulk block per run of live
+  // slots; a store with no free slot writes its whole pool array as one
+  // block.
+  w.u64(live.pool);
+  for_each_live_run([&](const SlotRun& run) {
+    w.bytes(durations_.data() + run.pool_begin,
+            (run.pool_end - run.pool_begin) * sizeof(double));
+  });
   w.pod_vec(job_extents_);
   w.pod_vec(phase_extents_);
 
+  // Every slot's scalar record: a free slot keeps its finished state until
+  // reuse (active-list erase predicates read it).
   w.u64(jobs_.size());
   for (const JobRuntime& job : jobs_) {
     w.i32(job.id);
@@ -289,58 +337,136 @@ void RuntimeStore::save_state(StateWriter& w) const {
     w.i64(job.ingest_seq);
   }
 
-  w.u64(phases_.size());
-  for (const PhaseRuntime& phase : phases_) {
-    w.i32(phase.index);
-    w.i32(phase.remaining_tasks);
-    w.i32(phase.unfinished_parents);
-    w.b(phase.has_children);
-    w.i32(phase.unscheduled_tasks);
-    w.i32(phase.first_unscheduled_hint);
-    w.i32(phase.active_copies);
-    w.b(phase.finished);
-    w.i64(phase.finish_slot);
-    w.f64(phase.gang_penalty);
-    // spec pointer and speedup are rebuilt from the job's spec on load;
-    // tasks/duration_pool spans from the extents.
-  }
+  w.u64(live.phases);
+  for_each_live_run([&](const SlotRun& run) {
+    for (std::size_t p = run.phase_begin; p < run.phase_end; ++p) {
+      const PhaseRuntime& phase = phases_[p];
+      w.i32(phase.index);
+      w.i32(phase.remaining_tasks);
+      w.i32(phase.unfinished_parents);
+      w.b(phase.has_children);
+      w.i32(phase.unscheduled_tasks);
+      w.i32(phase.first_unscheduled_hint);
+      w.i32(phase.active_copies);
+      w.b(phase.finished);
+      w.i64(phase.finish_slot);
+      w.f64(phase.gang_penalty);
+      // spec pointer and speedup are rebuilt from the job's spec on load;
+      // tasks/duration_pool spans from the extents.
+    }
+  });
 
-  w.u64(tasks_.size());
-  for (const TaskRuntime& task : tasks_) {
-    w.pod(task.ref);
-    w.pod(task.demand);
-    w.pod_vec(task.block.replicas);
-    w.b(task.finished);
-    w.b(task.ever_cloned);
-    w.i64(task.finish_slot);
-    w.i64(task.first_start);
-    w.f64(task.work_done_seconds);
-    w.i64(task.work_updated_at);
-    w.u32(task.generation);
-    w.u32(static_cast<std::uint32_t>(task.copies.size()));
-    for (const CopyRuntime& copy : task.copies) w.pod(copy);
-  }
-
-  // Free-slot pool: indices only; shapes are recomputed from the extents.
-  std::vector<std::uint32_t> free;
-  for (const auto& [shape, slots] : free_slots_) {
-    free.insert(free.end(), slots.begin(), slots.end());
-  }
-  w.pod_vec(free);
+  w.u64(live.tasks);
+  for_each_live_run([&](const SlotRun& run) {
+    for (const TaskRuntime& task :
+         std::span(tasks_.data() + run.task_begin, tasks_.data() + run.task_end)) {
+      w.pod(task.ref);
+      w.pod(task.demand);
+      w.pod_vec(task.block.replicas);
+      w.b(task.finished);
+      w.b(task.ever_cloned);
+      w.i64(task.finish_slot);
+      w.i64(task.first_start);
+      w.f64(task.work_done_seconds);
+      w.i64(task.work_updated_at);
+      w.u32(task.generation);
+      w.u32(static_cast<std::uint32_t>(task.copies.size()));
+      for (const CopyRuntime& copy : task.copies) w.pod(copy);
+    }
+  });
 }
 
-void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>& specs) {
+void RuntimeStore::size_from_extents() {
+  const auto fail = [](const std::string& what) {
+    throw std::runtime_error("snapshot: runtime-store " + what);
+  };
+  constexpr std::uint64_t kMaxExtent = std::numeric_limits<std::uint32_t>::max();
+  std::uint64_t next_phase = 0;
+  for (std::size_t j = 0; j < job_extents_.size(); ++j) {
+    const JobExtent& extent = job_extents_[j];
+    if (extent.phase_begin != next_phase || extent.phase_count == 0) {
+      fail("job slot " + std::to_string(j) +
+           " phase extent does not tile the phase array");
+    }
+    next_phase += extent.phase_count;
+  }
+  if (next_phase != phase_extents_.size()) {
+    fail("job extents cover " + std::to_string(next_phase) + " of " +
+         std::to_string(phase_extents_.size()) + " phases");
+  }
+  std::uint64_t next_task = 0;
+  std::uint64_t next_pool = 0;
+  for (std::size_t p = 0; p < phase_extents_.size(); ++p) {
+    const PhaseExtent& extent = phase_extents_[p];
+    if (extent.task_begin != next_task || extent.pool_begin != next_pool ||
+        extent.task_count == 0 ||
+        extent.task_count > static_cast<std::uint32_t>(std::numeric_limits<int>::max()) ||
+        extent.pool_count != std::max<std::uint32_t>(extent.task_count, kMinPoolSize)) {
+      fail("phase " + std::to_string(p) +
+           " extent does not tile the task and pool arrays");
+    }
+    next_task += extent.task_count;
+    next_pool += extent.pool_count;
+    if (next_task > kMaxExtent || next_pool > kMaxExtent) {
+      fail("extents overflow the 32-bit task and pool indices");
+    }
+  }
+  phases_.resize(phase_extents_.size());
+  tasks_.resize(static_cast<std::size_t>(next_task));
+  durations_.resize(static_cast<std::size_t>(next_pool));
+}
+
+void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>& specs,
+                              const std::vector<std::uint32_t>& free) {
   r.section(0x53544F52u);  // 'STOR'
   clear();
-  r.pod_vec(durations_);
+  // The packed live pools are copied to their extents once those are read
+  // and checked.
+  const std::size_t packed_pool = r.count(sizeof(double));
+  const std::uint8_t* packed = r.take(packed_pool * sizeof(double));
   r.pod_vec(job_extents_);
   r.pod_vec(phase_extents_);
-
-  const std::uint64_t n_jobs = r.u64();
-  if (n_jobs != specs.size() || n_jobs != job_extents_.size()) {
+  if (job_extents_.size() != specs.size()) {
     throw std::runtime_error("snapshot: runtime-store job count mismatch");
   }
-  jobs_.resize(n_jobs);
+  jobs_.resize(specs.size());
+  size_from_extents();
+
+  // Spec pointers first: they are what marks a slot live.  A live slot's
+  // spec must have the shape its extents record.
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const JobSpec* spec = specs[j];
+    jobs_[j].spec = spec;
+    if (spec == nullptr) continue;
+    const JobExtent& extent = job_extents_[j];
+    if (spec->phases.size() != extent.phase_count) {
+      throw std::runtime_error("snapshot: runtime-store phase extent mismatch");
+    }
+    for (std::size_t k = 0; k < extent.phase_count; ++k) {
+      const PhaseSpec& ps = spec->phases[k];
+      if (static_cast<std::uint64_t>(ps.task_count) !=
+          phase_extents_[extent.phase_begin + k].task_count) {
+        throw std::runtime_error("snapshot: runtime-store task extent mismatch");
+      }
+      PhaseRuntime& phase = phases_[extent.phase_begin + k];
+      phase.spec = &ps;
+      phase.speedup = SpeedupFunction::from_stats(ps.theta_seconds, ps.sigma_seconds);
+    }
+  }
+
+  const LiveCounts live = live_counts();
+  if (packed_pool != live.pool) {
+    throw std::runtime_error("snapshot: runtime-store duration count mismatch");
+  }
+  for_each_live_run([&](const SlotRun& run) {
+    const std::size_t bytes = (run.pool_end - run.pool_begin) * sizeof(double);
+    std::memcpy(durations_.data() + run.pool_begin, packed, bytes);
+    packed += bytes;
+  });
+
+  if (r.u64() != jobs_.size()) {
+    throw std::runtime_error("snapshot: runtime-store job count mismatch");
+  }
   for (JobRuntime& job : jobs_) {
     job.id = r.i32();
     job.arrival = r.i64();
@@ -356,72 +482,73 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
     job.pending_events = r.i32();
     job.ingest_seq = r.i64();
     job.invalidate_remaining_cache();
+    if (job.spec == nullptr && (!job.finished || job.pending_events != 0)) {
+      throw std::runtime_error("snapshot: free job slot " +
+                               std::to_string(&job - jobs_.data()) +
+                               " is unfinished or has pending events");
+    }
   }
 
-  const std::uint64_t n_phases = r.u64();
-  if (n_phases != phase_extents_.size()) {
+  if (r.u64() != live.phases) {
     throw std::runtime_error("snapshot: runtime-store phase count mismatch");
   }
-  phases_.resize(n_phases);
-  for (PhaseRuntime& phase : phases_) {
-    phase.index = r.i32();
-    phase.remaining_tasks = r.i32();
-    phase.unfinished_parents = r.i32();
-    phase.has_children = r.b();
-    phase.unscheduled_tasks = r.i32();
-    phase.first_unscheduled_hint = r.i32();
-    phase.active_copies = r.i32();
-    phase.finished = r.b();
-    phase.finish_slot = r.i64();
-    phase.gang_penalty = r.f64();
-  }
+  for_each_live_run([&](const SlotRun& run) {
+    for (std::size_t p = run.phase_begin; p < run.phase_end; ++p) {
+      PhaseRuntime& phase = phases_[p];
+      phase.index = r.i32();
+      phase.remaining_tasks = r.i32();
+      phase.unfinished_parents = r.i32();
+      phase.has_children = r.b();
+      phase.unscheduled_tasks = r.i32();
+      phase.first_unscheduled_hint = r.i32();
+      phase.active_copies = r.i32();
+      phase.finished = r.b();
+      phase.finish_slot = r.i64();
+      phase.gang_penalty = r.f64();
+    }
+  });
 
-  const std::uint64_t n_tasks = r.u64();
-  tasks_.resize(n_tasks);
-  for (TaskRuntime& task : tasks_) {
-    r.pod(task.ref);
-    r.pod(task.demand);
-    r.pod_vec(task.block.replicas);
-    task.finished = r.b();
-    task.ever_cloned = r.b();
-    task.finish_slot = r.i64();
-    task.first_start = r.i64();
-    task.work_done_seconds = r.f64();
-    task.work_updated_at = r.i64();
-    task.generation = r.u32();
-    const std::uint32_t copies = r.u32();
-    task.copies.bind(&slab_);
-    for (std::uint32_t c = 0; c < copies; ++c) {
-      CopyRuntime copy;
-      r.pod(copy);
-      task.copies.push_back(copy);  // re-acquires a slab extent; layout not semantic
-    }
+  if (r.u64() != live.tasks) {
+    throw std::runtime_error("snapshot: runtime-store task count mismatch");
   }
-
-  // Rebind spec pointers and the spec-derived speedup from the supplied
-  // per-slot specs, then every span from the extents.
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const JobSpec* spec = specs[j];
-    jobs_[j].spec = spec;
-    const JobExtent& extent = job_extents_[j];
-    if (spec->phases.size() != extent.phase_count) {
-      throw std::runtime_error("snapshot: runtime-store phase extent mismatch");
+  for_each_live_run([&](const SlotRun& run) {
+    for (TaskRuntime& task :
+         std::span(tasks_.data() + run.task_begin, tasks_.data() + run.task_end)) {
+      task.copies.bind(&slab_);
+      r.pod(task.ref);
+      r.pod(task.demand);
+      r.pod_vec(task.block.replicas);
+      task.finished = r.b();
+      task.ever_cloned = r.b();
+      task.finish_slot = r.i64();
+      task.first_start = r.i64();
+      task.work_done_seconds = r.f64();
+      task.work_updated_at = r.i64();
+      task.generation = r.u32();
+      const std::uint32_t copies = r.u32();
+      for (std::uint32_t c = 0; c < copies; ++c) {
+        CopyRuntime copy;
+        r.pod(copy);
+        task.copies.push_back(copy);  // re-acquires a slab extent; layout not semantic
+      }
     }
-    for (std::size_t k = 0; k < extent.phase_count; ++k) {
-      PhaseRuntime& phase = phases_[extent.phase_begin + k];
-      phase.spec = &spec->phases[k];
-      phase.speedup =
-          SpeedupFunction::from_stats(spec->phases[k].theta_seconds,
-                                      spec->phases[k].sigma_seconds);
-    }
-  }
+  });
   rebind_views();
 
-  std::vector<std::uint32_t> free;
-  r.pod_vec(free);
+  // Re-release in the saved order: reuse pops each shape's list from the
+  // back, so the order decides which slot the next job of a shape gets.
+  // A free slot's records stay default-initialised; its tasks only need
+  // their copy lists bound to the slab.
   for (const std::uint32_t slot : free) {
-    if (slot >= jobs_.size()) {
-      throw std::runtime_error("snapshot: runtime-store free slot out of range");
+    if (slot >= jobs_.size() || jobs_[slot].spec != nullptr) {
+      throw std::invalid_argument(
+          "RuntimeStore::load_state: free list disagrees with specs");
+    }
+    const JobExtent& extent = job_extents_[slot];
+    const PhaseExtent& first = phase_extents_[extent.phase_begin];
+    const PhaseExtent& last = phase_extents_[extent.phase_begin + extent.phase_count - 1];
+    for (std::size_t t = first.task_begin; t < last.task_begin + last.task_count; ++t) {
+      tasks_[t].copies.bind(&slab_);
     }
     release_job(slot);
   }

@@ -69,22 +69,25 @@ JobSpec load_job_spec(StateReader& r) {
   return spec;
 }
 
-/// Stand-in spec written for a recycled (free) job slot: the slot's spec
-/// pointer was nulled at release, but the restore path still needs a spec
-/// of matching shape to rebind against before the slot is re-released.
-JobSpec placeholder_spec(const JobRuntime& job) {
-  JobSpec spec;
-  spec.id = job.id;
-  spec.name = "(recycled)";
-  spec.phases.reserve(job.phases.size());
-  for (const PhaseRuntime& phase : job.phases) {
-    PhaseSpec ps;
-    ps.name = "(recycled)";
-    ps.task_count = static_cast<int>(phase.tasks.size());
-    ps.theta_seconds = 1.0;
-    spec.phases.push_back(std::move(ps));
+/// Per-slot free mask (1 = free) for a snapshot's free-slot list over
+/// `slot_count` slots; an index out of range or listed twice is a typed
+/// error.
+std::vector<std::uint8_t> free_slot_mask(const std::vector<std::uint32_t>& free,
+                                         std::size_t slot_count) {
+  std::vector<std::uint8_t> mask(slot_count, 0);
+  for (const std::uint32_t slot : free) {
+    if (slot >= slot_count) {
+      throw std::runtime_error("snapshot: free job slot " + std::to_string(slot) +
+                               " outside the " + std::to_string(slot_count) +
+                               " job slots");
+    }
+    if (mask[slot] != 0) {
+      throw std::runtime_error("snapshot: free job slot " + std::to_string(slot) +
+                               " listed twice");
+    }
+    mask[slot] = 1;
   }
-  return spec;
+  return mask;
 }
 
 }  // namespace
@@ -1182,19 +1185,16 @@ void SimCore::save_state(StateWriter& w) const {
   w.section(kTagBackground);
   background_.save_state(w);
 
-  // Per-slot JobSpecs: the runtime records reference them by pointer, so a
-  // restored core owns deserialized copies.  Free (recycled) slots get a
-  // shape-matching placeholder — their nulled spec pointer must not be
-  // dereferenced, and the restore path re-releases them anyway.
-  const std::vector<std::uint8_t> free = store_.free_mask();
+  // JobSpecs of the live slots: the runtime records reference them by
+  // pointer, so a restored core owns deserialized copies.  The free-slot
+  // list comes first; a free slot has no spec and costs the store only its
+  // scalar record and extents.
+  const std::vector<std::uint32_t> free = store_.free_slots();
   w.section(kTagSpecs);
-  w.u64(jobs_.size());
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (free[i] != 0) {
-      save_job_spec(w, placeholder_spec(jobs_[i]));
-    } else {
-      save_job_spec(w, *jobs_[i].spec);
-    }
+  w.pod_vec(free);
+  w.u64(jobs_.size() - free.size());
+  for (const JobRuntime& job : jobs_) {
+    if (job.spec != nullptr) save_job_spec(w, *job.spec);
   }
   store_.save_state(w);
 
@@ -1274,6 +1274,10 @@ void SimCore::check_restored_event(const SimEvent& e) const {
       // A finished job's events are screened out before their phase, task
       // or copy is touched (its copy storage is already released).
       const JobRuntime& job = jobs_[static_cast<std::size_t>(e.job_index)];
+      if (job.spec == nullptr) {
+        throw std::runtime_error("snapshot: heap event job " +
+                                 std::to_string(e.job_index) + " names a free job slot");
+      }
       if (job.finished) return;
       require_index(e.phase, job.phases.size(), "phase");
       const PhaseRuntime& phase = job.phases[static_cast<std::size_t>(e.phase)];
@@ -1330,26 +1334,29 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   background_.load_state(r);
 
   r.section(kTagSpecs);
-  const std::size_t slot_count = r.count(kMinJobSpecBytes);
+  std::vector<std::uint32_t> free;
+  r.pod_vec(free);
+  const std::size_t slot_count = free.size() + r.count(kMinJobSpecBytes);
   if (shared_specs != nullptr && shared_specs->size() != slot_count) {
     throw std::runtime_error("snapshot: shared spec table size mismatch");
   }
-  std::vector<const JobSpec*> specs;
-  specs.reserve(slot_count);
+  const std::vector<std::uint8_t> is_free = free_slot_mask(free, slot_count);
+  std::vector<const JobSpec*> specs(slot_count, nullptr);
   for (std::size_t i = 0; i < slot_count; ++i) {
+    if (is_free[i] != 0) continue;
     JobSpec parsed = load_job_spec(r);
     const JobSpec* external =
         shared_specs != nullptr ? (*shared_specs)[i] : nullptr;
     if (external != nullptr) {
       // Fork path: the stream copy only advanced the reader; the slot binds
       // to the parent's spec so the workload bytes are shared, not cloned.
-      specs.push_back(external);
+      specs[i] = external;
     } else {
       owned_specs_.push_back(std::move(parsed));
-      specs.push_back(&owned_specs_.back());
+      specs[i] = &owned_specs_.back();
     }
   }
-  store_.load_state(r, specs);
+  store_.load_state(r, specs, free);
 
   r.section(kTagArrivals);
   const auto job_index = [&](const char* what) {
@@ -1358,6 +1365,10 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
       throw std::runtime_error(std::string("snapshot: ") + what + " job index " +
                                std::to_string(index) + " outside the " +
                                std::to_string(jobs_.size()) + " job slots");
+    }
+    if (jobs_[static_cast<std::size_t>(index)].spec == nullptr) {
+      throw std::runtime_error(std::string("snapshot: ") + what + " job index " +
+                               std::to_string(index) + " names a free job slot");
     }
     return index;
   };

@@ -22,6 +22,7 @@
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/rng.h"
+#include "dollymp/common/state_io.h"
 #include "dollymp/obs/recorder.h"
 #include "dollymp/obs/replay.h"
 #include "dollymp/sim/copy_slab.h"
@@ -377,6 +378,112 @@ TEST(RuntimeStore, UnreservedGrowthKeepsViewsValid) {
       }
     }
   }
+}
+
+/// A job whose phases have these task counts (a chain, sigma > 0 so the
+/// duration pools draw from the RNG).
+JobSpec shaped_job(JobId id, const std::vector<int>& task_counts) {
+  JobSpec spec;
+  spec.id = id;
+  spec.name = "job" + std::to_string(id);
+  for (std::size_t k = 0; k < task_counts.size(); ++k) {
+    PhaseSpec ps;
+    ps.task_count = task_counts[k];
+    ps.demand = {1, 2};
+    ps.theta_seconds = 20.0;
+    ps.sigma_seconds = 8.0;
+    if (k > 0) ps.parents.push_back(static_cast<PhaseIndex>(k - 1));
+    spec.phases.push_back(ps);
+  }
+  return spec;
+}
+
+/// Materialize `specs` in order, then release every slot but the first
+/// (marked finished, as SimCore does before recycling).
+void fill_and_release(RuntimeStore& store, const std::vector<JobSpec>& specs,
+                      const LocalityModel& locality, Rng& rng) {
+  store.reserve_for(specs);
+  for (const auto& spec : specs) (void)store.materialize(spec, 1.0, locality, rng);
+  for (std::size_t j = 1; j < specs.size(); ++j) {
+    store.jobs()[j].finished = true;
+    store.release_job(j);
+  }
+}
+
+std::size_t saved_bytes(const RuntimeStore& store) {
+  StateWriter w;
+  store.save_state(w);
+  return w.size();
+}
+
+std::vector<std::uint8_t> sealed(const RuntimeStore& store) {
+  StateWriter w;
+  store.save_state(w);
+  return w.finish();
+}
+
+/// A free slot costs the checkpoint its scalar record and extents only:
+/// the same bytes whatever its task count.  A restored store reuses the
+/// released slots exactly as the uninterrupted one does.
+TEST(RuntimeStore, FreeSlotCheckpointBytesAreIndependentOfShape) {
+  Cluster cluster = Cluster::uniform(8, {8, 16});
+  const LocalityModel locality({}, cluster);
+  const JobSpec live = shaped_job(0, {3, 2});
+
+  const auto free_slot_bytes = [&](const std::vector<int>& shape) {
+    Rng rng(21);
+    RuntimeStore alone;
+    fill_and_release(alone, {live}, locality, rng);
+    RuntimeStore with_free;
+    fill_and_release(with_free, {live, shaped_job(1, shape)}, locality, rng);
+    return saved_bytes(with_free) - saved_bytes(alone);
+  };
+  const std::size_t one_phase = free_slot_bytes({1});
+  EXPECT_EQ(free_slot_bytes({64}), one_phase);
+  EXPECT_EQ(free_slot_bytes({5000}), one_phase);
+  const std::size_t three_phases = free_slot_bytes({1, 1, 1});
+  EXPECT_EQ(free_slot_bytes({2, 3000, 7}), three_phases);
+  EXPECT_LT(three_phases, 3 * one_phase);
+
+  // Uninterrupted store vs one restored from its checkpoint: materialize a
+  // job of every released shape (last released first) into both.
+  const std::vector<std::vector<int>> shapes = {{1}, {5000}, {2, 3000, 7}, {64}, {5000}};
+  std::vector<JobSpec> specs = {live};
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    specs.push_back(shaped_job(static_cast<JobId>(i + 1), shapes[i]));
+  }
+  Rng rng(33);
+  RuntimeStore original;
+  fill_and_release(original, specs, locality, rng);
+  ASSERT_EQ(original.free_slot_count(), shapes.size());
+
+  const std::vector<std::uint8_t> bytes = sealed(original);
+  StateReader r(bytes);
+  std::vector<const JobSpec*> slot_specs(specs.size(), nullptr);
+  slot_specs[0] = &specs[0];
+  RuntimeStore restored;
+  restored.load_state(r, slot_specs, original.free_slots());
+  r.expect_done();
+  EXPECT_EQ(restored.free_slots(), original.free_slots());
+  EXPECT_EQ(sealed(restored), bytes);
+
+  std::vector<JobSpec> reused;
+  reused.reserve(shapes.size());
+  for (std::size_t i = shapes.size(); i-- > 0;) {
+    reused.push_back(shaped_job(static_cast<JobId>(100 + i), shapes[i]));
+  }
+  Rng rng_restored = rng;
+  for (const JobSpec& spec : reused) {
+    const std::size_t a = original.materialize(spec, 1.0, locality, rng);
+    const std::size_t b = restored.materialize(spec, 1.0, locality, rng_restored);
+    EXPECT_EQ(a, b) << "job " << spec.id;
+  }
+  EXPECT_EQ(original.free_slot_count(), 0u);
+  EXPECT_EQ(restored.jobs().size(), original.jobs().size());
+  EXPECT_EQ(rng_restored.state(), rng.state());
+  // Every slot is live again, so the checkpoints hold every record: equal
+  // bytes mean equal jobs, phases, tasks, block replicas and pools.
+  EXPECT_EQ(sealed(restored), sealed(original));
 }
 
 }  // namespace

@@ -245,6 +245,24 @@ struct MatrixCell {
   bool faults;
 };
 
+/// Job slots that are free (recycled, spec released) in `session` now.
+std::vector<std::size_t> free_slots(const Session& session) {
+  const std::vector<const JobSpec*> specs = session.core().job_spec_pointers();
+  std::vector<std::size_t> free;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i] == nullptr) free.push_back(i);
+  }
+  return free;
+}
+
+/// True when some slot in `slots` holds a live job in `session` now.
+bool any_reused(const Session& session, const std::vector<std::size_t>& slots) {
+  const std::vector<const JobSpec*> specs = session.core().job_spec_pointers();
+  return std::any_of(slots.begin(), slots.end(), [&specs](std::size_t i) {
+    return i < specs.size() && specs[i] != nullptr;
+  });
+}
+
 TEST(ServiceCheckpoint, RestoredRunIsBitIdenticalAcrossMatrix) {
   const std::vector<MatrixCell> cells = {
       {"dollymp2", false}, {"dollymp2", true}, {"drf", false},
@@ -261,13 +279,19 @@ TEST(ServiceCheckpoint, RestoredRunIsBitIdenticalAcrossMatrix) {
     parent.run_until(kT1);
     parent.checkpoint(path);
     const std::uint64_t hash_at_t1 = parent.stream_hash();
+    // The snapshot must carry free slots, and the continuation must reuse
+    // one, so restore -> rematerialize is exercised, not just restore.
+    const std::vector<std::size_t> free_at_t1 = free_slots(parent);
+    ASSERT_FALSE(free_at_t1.empty());
     parent.run_until(kT2);
     ASSERT_GT(parent.totals().jobs_ingested, 0);
 
     auto restored = Session::restore(Cluster::paper30(), config, path);
     EXPECT_EQ(restored->clock(), kT1);
     EXPECT_EQ(restored->stream_hash(), hash_at_t1);
+    EXPECT_EQ(free_slots(*restored), free_at_t1);
     restored->run_until(kT2);
+    EXPECT_TRUE(any_reused(*restored, free_at_t1));
 
     // The continuation from the snapshot replays the uninterrupted future
     // bit for bit: same stream hash, same record count, same totals.
@@ -346,36 +370,103 @@ TEST(ServiceCheckpoint, RejectsCorruptedAndTruncatedSnapshots) {
   }
 }
 
-/// Offset just past the first occurrence of section marker `tag` in a
-/// DMPCKPT01 payload.
-std::size_t after_section(const std::vector<std::uint8_t>& payload, std::uint32_t tag) {
+/// Offset just past the first occurrence of section marker `tag` at or
+/// after `from` in a DMPCKPT01 payload.
+std::size_t after_section(const std::vector<std::uint8_t>& payload, std::uint32_t tag,
+                          std::size_t from = 0) {
   const std::uint32_t marker = 0x5EC70000u ^ tag;
   std::uint8_t le[4];
   for (int i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(marker >> (8 * i));
-  const auto it = std::search(payload.begin(), payload.end(), le, le + 4);
+  const auto it = std::search(payload.begin() + static_cast<std::ptrdiff_t>(from),
+                              payload.end(), le, le + 4);
   if (it == payload.end()) throw std::logic_error("section marker not found");
   return static_cast<std::size_t>(it - payload.begin()) + 4;
 }
 
+// Bounds-checked accessors: a mis-computed offset fails the test with
+// std::out_of_range instead of reading or writing past the payload.
 std::uint64_t get_u64(const std::vector<std::uint8_t>& payload, std::size_t at) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(payload[at + static_cast<std::size_t>(i)]) << (8 * i);
+    const std::uint8_t byte = payload.at(at + static_cast<std::size_t>(i));
+    v |= static_cast<std::uint64_t>(byte) << (8 * i);
+  }
+  return v;
+}
+
+std::uint32_t get_u32(const std::vector<std::uint8_t>& payload, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::uint8_t byte = payload.at(at + static_cast<std::size_t>(i));
+    v |= static_cast<std::uint32_t>(byte) << (8 * i);
   }
   return v;
 }
 
 void put_u64(std::vector<std::uint8_t>& payload, std::size_t at, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    payload[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+    payload.at(at + static_cast<std::size_t>(i)) =
+        static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
 void put_i32(std::vector<std::uint8_t>& payload, std::size_t at, std::int32_t v) {
   const auto u = static_cast<std::uint32_t>(v);
   for (int i = 0; i < 4; ++i) {
-    payload[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(u >> (8 * i));
+    payload.at(at + static_cast<std::size_t>(i)) =
+        static_cast<std::uint8_t>(u >> (8 * i));
   }
+}
+
+/// Offsets of the job-slot records in a DMPCKPT01 payload.  SPEC holds the
+/// free-slot list (a u32 pod vector), the live-spec count and the live
+/// slots' specs; STOR opens with the packed live duration pools (u64
+/// count, doubles), the job and phase extents (pod vectors) and every
+/// slot's fixed-width JobRuntime scalar record.
+struct SlotLayout {
+  std::vector<std::uint32_t> free;  ///< free-slot indices as saved
+  std::size_t free_at = 0;          ///< first free-slot index
+  std::uint64_t slots = 0;          ///< free + live job slots
+  std::size_t phases_at = 0;        ///< phase count of the first live spec
+  std::size_t job_extents_at = 0;   ///< first JobExtent {phase_begin, phase_count}
+  std::size_t phase_extents_at = 0; ///< first PhaseExtent {task_begin, task_count, ...}
+  std::size_t jobs_at = 0;          ///< first JobRuntime scalar record
+};
+
+/// JobRuntime scalar record: id, arrival, arrived, finished, finish and
+/// first-start slots, remaining phases, clone and speculation counts,
+/// resource seconds, tasks with clones, pending events, ingest seq.
+constexpr std::size_t kJobRecordBytes = 4 + 8 + 1 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 4 + 4 + 8;
+constexpr std::size_t kJobFinishedAt = 4 + 8 + 1;
+constexpr std::size_t kJobPendingEventsAt = 4 + 8 + 1 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 4;
+
+SlotLayout slot_layout(const std::vector<std::uint8_t>& payload) {
+  SlotLayout layout;
+  const std::size_t spec_at = after_section(payload, 0x53504543u);  // 'SPEC'
+  const std::uint64_t free_count = get_u64(payload, spec_at + 4);
+  layout.free_at = spec_at + 4 + 8;
+  for (std::uint64_t i = 0; i < free_count; ++i) {
+    layout.free.push_back(get_u32(payload, layout.free_at + 4 * i));
+  }
+  const std::size_t live_at = layout.free_at + 4 * free_count;
+  layout.slots = free_count + get_u64(payload, live_at);
+  // First live spec: id, name, app, arrival, then the phase count.
+  std::size_t at = live_at + 8 + 4;
+  at += 8 + get_u64(payload, at);
+  at += 8 + get_u64(payload, at);
+  layout.phases_at = at + 8;
+
+  const std::size_t pool_at = after_section(payload, 0x53544F52u, spec_at);  // 'STOR'
+  layout.job_extents_at = pool_at + 8 + 8 * get_u64(payload, pool_at) + 4 + 8;
+  const std::size_t phase_count_at = layout.job_extents_at + 8 * layout.slots + 4;
+  const std::uint64_t phases = get_u64(payload, phase_count_at);
+  layout.phase_extents_at = phase_count_at + 8;
+  const std::size_t jobs_count_at = layout.phase_extents_at + 16 * phases;
+  if (get_u64(payload, jobs_count_at) != layout.slots) {
+    throw std::logic_error("job-record offset is off");
+  }
+  layout.jobs_at = jobs_count_at + 8;
+  return layout;
 }
 
 /// Offset of the raw SimEvent bytes of the first pending heap event whose
@@ -387,7 +478,7 @@ std::size_t find_heap_event(const std::vector<std::uint8_t>& payload,
   at += 8;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::size_t event_at = at + 4;  // past the record-size word
-    if (pick(static_cast<EvKind>(payload[event_at + offsetof(SimEvent, kind)]))) {
+    if (pick(static_cast<EvKind>(payload.at(event_at + offsetof(SimEvent, kind))))) {
       return event_at;
     }
     at = event_at + sizeof(SimEvent);
@@ -423,14 +514,13 @@ TEST(ServiceCheckpoint, ResealedHugeCountsAndBadIndicesThrowTypedErrors) {
   const std::vector<std::uint8_t> payload(sealed.begin() + static_cast<std::ptrdiff_t>(header),
                                           sealed.end() - 8);
 
-  // First job spec: id, name, app, arrival, then the phase count.
-  std::size_t phases_at = after_section(payload, 0x53504543u) + 8 + 4;  // 'SPEC'
-  phases_at += 8 + get_u64(payload, phases_at);
-  phases_at += 8 + get_u64(payload, phases_at);
-  phases_at += 8;
+  const SlotLayout layout = slot_layout(payload);
+  const std::size_t phases_at = layout.phases_at;
   const std::uint64_t phases = get_u64(payload, phases_at);
   ASSERT_GE(phases, 1u);
   ASSERT_LE(phases, 64u) << "phase-count offset is off";
+  ASSERT_GE(layout.free.size(), 2u) << "the checkpoint must hold free job slots";
+  const std::uint32_t free_slot = layout.free.front();
 
   // Arrivals section: pending-arrival count and indices, then the active
   // count and indices.
@@ -468,13 +558,80 @@ TEST(ServiceCheckpoint, ResealedHugeCountsAndBadIndicesThrowTypedErrors) {
   {
     // A pending completion naming the job slot one past the restored ones.
     auto bad = payload;
-    const std::uint64_t slots = get_u64(payload, after_section(payload, 0x53504543u));
     const std::size_t event_at =
         find_heap_event(bad, [](EvKind kind) { return kind == EvKind::kCompletion; });
     put_i32(bad, event_at + offsetof(SimEvent, job_index),
-            static_cast<std::int32_t>(slots));
+            static_cast<std::int32_t>(layout.slots));
     expect_snapshot_error(bad, config, "dollymp_service_bad_event_job.ckpt",
                           "heap event job");
+  }
+  {
+    // A pending completion naming a free slot.
+    auto bad = payload;
+    const std::size_t event_at =
+        find_heap_event(bad, [](EvKind kind) { return kind == EvKind::kCompletion; });
+    put_i32(bad, event_at + offsetof(SimEvent, job_index),
+            static_cast<std::int32_t>(free_slot));
+    expect_snapshot_error(bad, config, "dollymp_service_event_on_free_slot.ckpt",
+                          "names a free job slot");
+  }
+  {
+    // The free-slot list naming one slot twice, or a slot past the last.
+    auto bad = payload;
+    put_i32(bad, layout.free_at + 4, static_cast<std::int32_t>(free_slot));
+    expect_snapshot_error(bad, config, "dollymp_service_free_slot_twice.ckpt",
+                          "listed twice");
+    bad = payload;
+    put_i32(bad, layout.free_at, static_cast<std::int32_t>(layout.slots));
+    expect_snapshot_error(bad, config, "dollymp_service_free_slot_range.ckpt",
+                          "outside the");
+  }
+  {
+    // A free slot whose job is unfinished, or still has events in flight.
+    const std::size_t record_at = layout.jobs_at + kJobRecordBytes * free_slot;
+    auto bad = payload;
+    bad.at(record_at + kJobFinishedAt) = 0;
+    expect_snapshot_error(bad, config, "dollymp_service_free_slot_unfinished.ckpt",
+                          "unfinished or has pending events");
+    bad = payload;
+    put_i32(bad, record_at + kJobPendingEventsAt, 1);
+    expect_snapshot_error(bad, config, "dollymp_service_free_slot_pending.ckpt",
+                          "unfinished or has pending events");
+  }
+  {
+    // A free slot in the active list, or in the pending-arrival order (one
+    // index inserted ahead of the existing ones).
+    auto bad = payload;
+    put_i32(bad, active_at + 8, static_cast<std::int32_t>(free_slot));
+    expect_snapshot_error(bad, config, "dollymp_service_free_slot_active.ckpt",
+                          "names a free job slot");
+    bad = payload;
+    put_u64(bad, arrivals_at, get_u64(payload, arrivals_at) + 1);
+    bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(arrivals_at + 8), 4, 0);
+    put_i32(bad, arrivals_at + 8, static_cast<std::int32_t>(free_slot));
+    expect_snapshot_error(bad, config, "dollymp_service_free_slot_arrival.ckpt",
+                          "names a free job slot");
+  }
+  {
+    // Extents that do not tile the flat arrays: a job's phases shifted by
+    // one, and a phase whose task count overruns the next phase's tasks.
+    auto bad = payload;
+    const std::uint32_t phase_begin = get_u32(payload, layout.job_extents_at + 8);
+    put_i32(bad, layout.job_extents_at + 8, static_cast<std::int32_t>(phase_begin + 1));
+    expect_snapshot_error(bad, config, "dollymp_service_job_extent.ckpt",
+                          "does not tile");
+    bad = payload;
+    put_i32(bad, layout.phase_extents_at + 4, std::int32_t{1} << 30);
+    expect_snapshot_error(bad, config, "dollymp_service_phase_extent.ckpt",
+                          "does not tile");
+    // A live spec whose first phase's task count disagrees with its extent
+    // (the phase's name, then its task count).
+    bad = payload;
+    const std::size_t name_at = phases_at + 8;
+    const std::size_t tasks_at = name_at + 8 + get_u64(payload, name_at);
+    put_i32(bad, tasks_at, static_cast<std::int32_t>(get_u32(payload, tasks_at) + 1));
+    expect_snapshot_error(bad, config, "dollymp_service_spec_shape.ckpt",
+                          "task extent mismatch");
   }
   {
     // A pending machine event naming the server one past the cluster.
@@ -525,13 +682,18 @@ TEST(ServiceFork, PolicySwitchForkDivergesWithoutPerturbingParent) {
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   const std::uint64_t parent_hash_at_fork = parent.stream_hash();
+  const std::vector<std::size_t> free_at_fork = free_slots(parent);
+  ASSERT_FALSE(free_at_fork.empty());
 
   Session::ForkOptions options;
   options.policy = "drf";
   auto child = parent.fork(options);
   EXPECT_EQ(child->policy_name(), "drf");
+  EXPECT_EQ(free_slots(*child), free_at_fork);
   child->run_until(kT2);
   parent.run_until(kT2);
+  EXPECT_TRUE(any_reused(*child, free_at_fork));
+  EXPECT_TRUE(any_reused(parent, free_at_fork));
 
   EXPECT_EQ(parent.policy_name(), "dollymp2");
   EXPECT_NE(parent.stream_hash(), parent_hash_at_fork);  // parent advanced

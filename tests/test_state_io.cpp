@@ -183,6 +183,22 @@ TEST(StateIo, ParentFormatSnapshotFailsTheVersionCheck) {
   }
 }
 
+TEST(StateIo, VersionThreeSnapshotFailsTheVersionCheck) {
+  // A version-3 envelope: the same header and payload hash as today, but
+  // the payload wrote every recycled job slot in full.  The version field
+  // sits right after the 9-byte magic and is outside the payload hash, so
+  // only the version check can refuse it.
+  auto bytes = sample_envelope();
+  bytes[9] = 3;
+  bytes[10] = bytes[11] = bytes[12] = 0;
+  try {
+    StateReader r(bytes);
+    FAIL() << "a version-3 snapshot must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "snapshot: unsupported DMPCKPT01 version 3");
+  }
+}
+
 TEST(StateIo, ReadStateFileRejectsDirectory) {
   // ftell on a directory is no file size; it must not size the buffer.
   try {
