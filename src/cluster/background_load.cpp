@@ -45,11 +45,13 @@ void BackgroundLoadProcess::renew(State& s, double now) {
 void BackgroundLoadProcess::save_state(StateWriter& w) const {
   w.u64(states_.size());
   for (const State& s : states_) {
-    w.f64(s.until_seconds);
-    w.f64(s.slowdown);
-    const auto& rs = s.rng.state();
-    for (const std::uint64_t word : rs) w.u64(word);
+    w.fields(s.until_seconds, s.slowdown, s.rng.state());
   }
+}
+
+std::size_t BackgroundLoadProcess::state_bytes_bound() const {
+  // Per server: segment end, slowdown and the four RNG state words.
+  return 8 + states_.size() * (8 + 8 + 4 * 8);
 }
 
 void BackgroundLoadProcess::load_state(StateReader& r) {

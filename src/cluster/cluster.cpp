@@ -40,6 +40,8 @@ Cluster& Cluster::operator=(const Cluster& other) {
 
 void Cluster::save_state(StateWriter& w) const { table_->save_state(w); }
 
+std::size_t Cluster::state_bytes_bound() const { return table_->state_bytes_bound(); }
+
 void Cluster::load_state(StateReader& r) {
   table_->load_state(r);
   servers_.clear();

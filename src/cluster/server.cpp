@@ -56,6 +56,18 @@ void ServerTable::save_state(StateWriter& w) const {
   for (const std::string& name : model_names_) w.str(name);
 }
 
+std::size_t ServerTable::state_bytes_bound() const {
+  std::size_t bytes = StateWriter::pod_vec_bytes(capacity_) +
+                      StateWriter::pod_vec_bytes(used_) +
+                      StateWriter::pod_vec_bytes(base_speed_) +
+                      StateWriter::pod_vec_bytes(slow_factor_) +
+                      StateWriter::pod_vec_bytes(rack_) +
+                      StateWriter::pod_vec_bytes(running_copies_) +
+                      StateWriter::pod_vec_bytes(model_) + StateWriter::pod_vec_bytes(flags_) + 8;
+  for (const std::string& name : model_names_) bytes += StateWriter::str_bytes(name);
+  return bytes;
+}
+
 void ServerTable::load_state(StateReader& r) {
   r.pod_vec(capacity_);
   r.pod_vec(used_);

@@ -28,7 +28,9 @@ constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
 constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ULL;
 
 static_assert(std::endian::native == std::endian::little,
-              "the envelope hash loads payload words little-endian");
+              "the writer appends object bytes and the envelope hash loads payload "
+              "words, both as little-endian");
+static_assert(sizeof(bool) == 1 && sizeof(double) == 8, "StateWriter::fields widths");
 
 [[nodiscard]] std::uint64_t load_word(const std::uint8_t* p) {
   std::uint64_t w = 0;
@@ -64,10 +66,6 @@ static_assert(std::endian::native == std::endian::little,
   return h;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 [[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
@@ -94,7 +92,7 @@ std::vector<std::uint8_t> StateWriter::finish() {
         static_cast<std::uint8_t>(kStateVersion >> (8 * i));
   }
   patch_u64(kMagicLen + 4, payload);
-  put_u64(buf_, payload_hash(buf_.data() + kStateHeaderBytes, payload));
+  u64(payload_hash(buf_.data() + kStateHeaderBytes, payload));
   return std::move(buf_);
 }
 

@@ -52,6 +52,9 @@ class BackgroundLoadProcess {
   /// queries continue the exact realization.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
+  /// Upper bound on the bytes save_state appends (SimCore sizes the
+  /// checkpoint buffer from the sum over its layers).
+  [[nodiscard]] std::size_t state_bytes_bound() const;
 
  private:
   struct State {

@@ -62,6 +62,9 @@ class Cluster {
   /// reconstructs the cluster in a fresh process.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
+  /// Upper bound on the bytes save_state appends (SimCore sizes the
+  /// checkpoint buffer from the sum over its layers).
+  [[nodiscard]] std::size_t state_bytes_bound() const;
 
   // ----- standard inventories ---------------------------------------------
 

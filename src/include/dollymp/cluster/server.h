@@ -69,6 +69,9 @@ class ServerTable {
   /// inventory builder.  load_state overwrites every column.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
+  /// Upper bound on the bytes save_state appends (SimCore sizes the
+  /// checkpoint buffer from the sum over its layers).
+  [[nodiscard]] std::size_t state_bytes_bound() const;
 
   /// Bytes of hot-state storage (the interned label table is a handful of
   /// strings and not counted).  Feeds the bytes-per-server scale gate.

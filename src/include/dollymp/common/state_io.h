@@ -26,6 +26,20 @@
 // exchanged between process images of the same build (the service
 // checkpoints to disk and restores later, possibly in a fresh process), not
 // across architectures.
+//
+// The writer appends a value's object bytes, which on the little-endian
+// hosts it builds for (state_io.cpp static_asserts it) are exactly that
+// encoding.  fields() packs a whole fixed-width record on the stack and
+// appends it with one capacity check and one copy, so the per-task and
+// per-server loops cost one append per record, not one per byte.  Raw
+// struct records (pod, pod_vec, fields) carry their padding too, so every
+// type written that way spells its alignment gaps out as zeroed members and
+// static_asserts it has no implicit padding: the bytes of a checkpoint are a
+// function of the simulation state alone.  reserve() sizes the buffer once:
+// SimCore::save_state reserves an upper bound summed from sizes its layers
+// already hold, so a checkpoint allocates once instead of doubling its way
+// up from the header (the pages of an overestimate that nothing writes are
+// never touched).
 #pragma once
 
 #include <cstdint>
@@ -52,47 +66,64 @@ class StateWriter {
   /// Starts the buffer with the zeroed envelope header slot.
   StateWriter();
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
+  void u8(std::uint8_t v) { fields(v); }
+  void b(bool v) { fields(v); }
+  void u32(std::uint32_t v) { fields(v); }
+  void i32(std::int32_t v) { fields(v); }
+  void u64(std::uint64_t v) { fields(v); }
+  void i64(std::int64_t v) { fields(v); }
+  void f64(double v) { fields(v); }
   void bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
+  /// One fixed-width record: every value's bytes back to back, a bool as
+  /// one 0/1 byte, appended with a single capacity check.  The same bytes
+  /// as the matching run of u32()/f64()/pod() calls, minus their size
+  /// words (pass pod_size<T> where a pod() record belongs).
+  template <typename... Ts>
+  void fields(const Ts&... values) {
+    static_assert((std::is_trivially_copyable_v<Ts> && ...));
+    std::uint8_t record[(sizeof(Ts) + ...)];
+    std::uint8_t* at = record;
+    ((at = put(at, values)), ...);
+    bytes(record, sizeof(record));
+  }
+  /// The size word pod() writes ahead of a T, for use inside fields().
+  template <typename T>
+  static constexpr std::uint32_t pod_size = static_cast<std::uint32_t>(sizeof(T));
   void str(const std::string& s) {
     u64(s.size());
     bytes(s.data(), s.size());
   }
   /// Trivially-copyable record by raw bytes (same-build snapshots only; the
   /// sizeof is part of the stream so a layout drift fails loudly on read).
+  /// T must have no implicit padding: its bytes would be whatever memory
+  /// held, and two checkpoints of one state would differ.
   template <typename T>
   void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    u32(static_cast<std::uint32_t>(sizeof(T)));
-    bytes(&v, sizeof(T));
+    fields(pod_size<T>, v);
   }
   template <typename T>
   void pod_vec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    u32(static_cast<std::uint32_t>(sizeof(T)));
-    u64(v.size());
+    fields(pod_size<T>, std::uint64_t{v.size()});
     bytes(v.data(), v.size() * sizeof(T));
   }
+  /// Bytes pod_vec(v) and str(s) append, for layers that bound their
+  /// payload ahead of writing it.
+  template <typename T>
+  [[nodiscard]] static std::size_t pod_vec_bytes(const std::vector<T>& v) {
+    return 4 + 8 + v.size() * sizeof(T);
+  }
+  [[nodiscard]] static std::size_t str_bytes(const std::string& s) { return 8 + s.size(); }
   /// Subsystem boundary marker (fourcc), checked by StateReader::section.
   void section(std::uint32_t tag) { u32(0x5EC70000u ^ tag); }
+
+  /// Make room for `payload_bytes` more payload bytes plus the envelope's
+  /// trailing hash in one allocation, so appends up to that bound never
+  /// move the buffer.  A no-op when the room is already there.
+  void reserve(std::size_t payload_bytes) { buf_.reserve(buf_.size() + payload_bytes + 8); }
 
   /// Reserve an 8-byte length slot (nested blobs a reader may skip);
   /// returns its position for patch_u64.  Positions (and size()) count the
@@ -103,8 +134,7 @@ class StateWriter {
     return at;
   }
   void patch_u64(std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
   }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
@@ -114,6 +144,18 @@ class StateWriter {
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:
+  /// A value's wire bytes: the host is little-endian (state_io.cpp checks),
+  /// so an integer's or double's object bytes are its encoding.
+  template <typename T>
+  static std::uint8_t* put(std::uint8_t* at, const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      *at = v ? 1 : 0;
+    } else {
+      std::memcpy(at, &v, sizeof(T));
+    }
+    return at + sizeof(T);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

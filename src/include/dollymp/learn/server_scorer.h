@@ -67,6 +67,9 @@ class ServerScorer {
   /// default-sized instance can be restored directly.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
+  /// Upper bound on the bytes save_state appends (SimCore sizes the
+  /// checkpoint buffer from the sum over its layers).
+  [[nodiscard]] std::size_t state_bytes_bound() const;
 
  private:
   struct State {

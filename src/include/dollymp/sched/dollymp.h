@@ -88,6 +88,7 @@ class DollyMPScheduler final : public Scheduler {
   /// same config after reset().
   void save_state(StateWriter& w) const override;
   void load_state(StateReader& r) override;
+  [[nodiscard]] std::size_t state_bytes_bound() const override;
 
   /// The embedded resilience policy (null unless config().resilience.enabled).
   [[nodiscard]] const ResiliencePolicy* resilience() const {

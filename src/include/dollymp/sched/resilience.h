@@ -111,6 +111,9 @@ class ResiliencePolicy {
   /// vectors to the serialized fleet size.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
+  /// Upper bound on the bytes save_state appends (SimCore sizes the
+  /// checkpoint buffer from the sum over its layers).
+  [[nodiscard]] std::size_t state_bytes_bound() const;
 
   // ---- introspection (tests) ----------------------------------------------
   [[nodiscard]] int quarantined_count() const { return quarantined_count_; }

@@ -202,6 +202,10 @@ class Scheduler {
   /// instance of the same policy/configuration.
   virtual void save_state(StateWriter& /*w*/) const {}
   virtual void load_state(StateReader& /*r*/) {}
+  /// Upper bound on the bytes save_state appends; SimCore reserves the
+  /// checkpoint buffer from it.  A policy that overrides save_state
+  /// overrides this too.
+  [[nodiscard]] virtual std::size_t state_bytes_bound() const { return 0; }
 };
 
 // ---- shared helpers used by several policies -------------------------------

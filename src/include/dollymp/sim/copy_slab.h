@@ -39,16 +39,24 @@
 namespace dollymp {
 
 /// One running (or finished/killed) copy of a task.  Kept a plain struct:
-/// the slab stores these by value, densely.
+/// the slab stores these by value, densely.  Checkpoints write it as raw
+/// bytes, so the alignment gaps are explicit zeroed members: a snapshot
+/// must not carry whatever the stack held there.
 struct CopyRuntime {
   ServerId server = kInvalidServer;
+  std::uint8_t pad0_[4] = {};
   SimTime start = kNever;
   SimTime finish = kNever;      ///< predicted completion slot (see runtime_state.h)
   LocalityLevel locality = LocalityLevel::kNode;
   bool active = false;          ///< currently occupying resources
   bool killed = false;          ///< terminated because a sibling finished first
+  std::uint8_t pad1_[5] = {};
   double base_seconds = 0.0;    ///< sampled duration before slot rounding
 };
+static_assert(sizeof(CopyRuntime) == sizeof(ServerId) + 4 + 2 * sizeof(SimTime) +
+                                         sizeof(LocalityLevel) + 2 * sizeof(bool) + 5 +
+                                         sizeof(double),
+              "CopyRuntime must have no implicit padding");
 
 class CopySlab {
  public:

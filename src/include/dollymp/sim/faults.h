@@ -115,6 +115,9 @@ class FaultEngine {
   /// rack membership is derived from the cluster topology).
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
+  /// Upper bound on the bytes save_state appends (SimCore sizes the
+  /// checkpoint buffer from the sum over its layers).
+  [[nodiscard]] std::size_t state_bytes_bound() const;
 
  private:
   [[nodiscard]] SimTime delay_slots(const FaultDelaySpec& spec);

@@ -102,9 +102,16 @@ class RuntimeStore {
   /// exactly the slots in `free` (the saved free_slots() order), rebuilds
   /// the free slots default-initialised and re-releases them in that
   /// order, so slot reuse and the RNG draw order continue unchanged.
+  /// load_state rejects a copy naming a server outside [0, server_count)
+  /// and returns the number of active copies it restored, for the caller
+  /// to check against its own count.
   void save_state(StateWriter& w) const;
-  void load_state(StateReader& r, const std::vector<const JobSpec*>& specs,
-                  const std::vector<std::uint32_t>& free);
+  std::size_t load_state(StateReader& r, const std::vector<const JobSpec*>& specs,
+                         const std::vector<std::uint32_t>& free, std::size_t server_count);
+  /// Upper bound on the bytes save_state appends, for tasks holding at
+  /// most `replicas_per_task` input-block replicas.  Every copy record is
+  /// bounded by the slab's carved slots, so no task is visited.
+  [[nodiscard]] std::size_t state_bytes_bound(std::size_t replicas_per_task) const;
 
  private:
   struct JobExtent {
@@ -117,6 +124,9 @@ class RuntimeStore {
     std::uint32_t pool_begin = 0;
     std::uint32_t pool_count = 0;
   };
+  // Both are written as raw bytes; neither may grow alignment gaps.
+  static_assert(sizeof(JobExtent) == 2 * sizeof(std::uint32_t));
+  static_assert(sizeof(PhaseExtent) == 4 * sizeof(std::uint32_t));
 
   /// Point every span at the current array locations (after relocation).
   void rebind_views();

@@ -95,15 +95,19 @@ enum class EvKind : std::uint8_t {
 /// per-task work predictions (copy == -1; stale when the task's generation
 /// moved on).  Fields a kind does not use hold fixed sentinels so the
 /// comparator defines one deterministic total order over all events.
+/// Checkpoints write events as raw bytes, so the alignment gaps are
+/// explicit zeroed members.
 struct SimEvent {
   SimTime slot = 0;
   EvKind kind = EvKind::kTimer;
+  std::uint8_t pad0_[3] = {};
   std::int32_t job_index = -1;
   PhaseIndex phase = -1;
   std::int32_t task = -1;
   std::int32_t copy = -1;        // -1 for work-based task events and non-completions
   std::uint32_t generation = 0;  // work-based staleness check, also a tie breaker
   ServerId server = kInvalidServer;
+  std::uint8_t pad1_[4] = {};
 
   // Repairs and failures form one group so same-slot machine events across
   // servers pop server-major with the repair first per server (each pop
@@ -145,6 +149,9 @@ struct SimEvent {
     return a.generation > b.generation;
   }
 };
+static_assert(sizeof(SimEvent) == sizeof(SimTime) + sizeof(EvKind) + 3 +
+                                      5 * sizeof(std::int32_t) + sizeof(ServerId) + 4,
+              "SimEvent must have no implicit padding");
 
 /// Why step_until returned.
 enum class StepOutcome : std::uint8_t {
@@ -165,11 +172,16 @@ struct StreamTotals {
 };
 
 /// A recycled job slot's identity, surfaced so the streaming session can
-/// reuse the JobId (bounding id-indexed scheduler state).
+/// reuse the JobId (bounding id-indexed scheduler state).  Written to
+/// checkpoints as raw bytes, so the tail gap is an explicit zeroed member.
 struct RecycledJob {
   std::int64_t ingest_seq = 0;
   JobId id = -1;
+  std::uint8_t pad_[4] = {};
 };
+static_assert(sizeof(RecycledJob) == sizeof(std::int64_t) + sizeof(JobId) + 4,
+              "RecycledJob must have no implicit padding");
+static_assert(sizeof(StreamTotals) == 6 * 8, "StreamTotals must have no implicit padding");
 
 class SimCore final : public SchedulerContext {
  public:
@@ -240,6 +252,10 @@ class SimCore final : public SchedulerContext {
   /// Serialize the complete mutable state (docs/DESIGN.md §4.8).  Legal at
   /// any pause point; const, so a live core can be snapshotted for forks.
   void save_state(StateWriter& w) const;
+  /// Upper bound on the bytes save_state appends, summed from sizes the
+  /// layers already hold (no task is visited); save_state reserves it up
+  /// front so a checkpoint allocates its buffer once.
+  [[nodiscard]] std::size_t state_bytes_bound() const;
   /// Restore a snapshot written by save_state into a core constructed with
   /// the same config over any same-size cluster (the snapshot carries the
   /// authoritative cluster state).  Must be called after begin() with the

@@ -63,10 +63,12 @@ void ServerScorer::reset() {
 void ServerScorer::save_state(StateWriter& w) const {
   w.u64(states_.size());
   for (const State& s : states_) {
-    w.f64(s.ewma);
-    w.f64(s.weight);
-    w.u64(s.count);
+    w.fields(s.ewma, s.weight, std::uint64_t{s.count});
   }
+}
+
+std::size_t ServerScorer::state_bytes_bound() const {
+  return 8 + states_.size() * (8 + 8 + 8);
 }
 
 void ServerScorer::load_state(StateReader& r) {

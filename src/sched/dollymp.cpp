@@ -454,15 +454,21 @@ void DollyMPScheduler::save_state(StateWriter& w) const {
   w.u64(valid);
   for (std::size_t id = 0; id < prio_epoch_.size(); ++id) {
     if (prio_epoch_[id] != epoch_) continue;
-    w.i32(static_cast<std::int32_t>(id));
-    w.i32(prio_value_[id]);
-    w.f64(vol_value_[id]);
+    w.fields(static_cast<std::int32_t>(id), prio_value_[id], vol_value_[id]);
   }
   w.b(priorities_dirty_);
   w.b(scorer_.has_value());
   if (scorer_) scorer_->save_state(w);
   w.b(resilience_.has_value());
   if (resilience_) resilience_->save_state(w);
+}
+
+std::size_t DollyMPScheduler::state_bytes_bound() const {
+  // At most one (id, prio, vol) triple per priority slot, two flags and
+  // the optional learners.
+  return 8 + prio_epoch_.size() * (4 + 4 + 8) + 1 + 1 +
+         (scorer_ ? scorer_->state_bytes_bound() : 0) + 1 +
+         (resilience_ ? resilience_->state_bytes_bound() : 0);
 }
 
 void DollyMPScheduler::load_state(StateReader& r) {

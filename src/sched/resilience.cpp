@@ -130,12 +130,16 @@ void ResiliencePolicy::save_state(StateWriter& w) const {
   });
   w.u64(entries.size());
   for (const auto& [ref, hold] : entries) {
-    w.i32(ref.job);
-    w.i32(ref.phase);
-    w.i32(ref.task);
-    w.i32(hold.attempts);
-    w.i64(hold.release);
+    w.fields(ref.job, ref.phase, ref.task, hold.attempts, hold.release);
   }
+}
+
+std::size_t ResiliencePolicy::state_bytes_bound() const {
+  // The ledgers, three scalars, then one (ref, attempts, release) record
+  // per backoff hold.
+  return StateWriter::pod_vec_bytes(strikes_) + StateWriter::pod_vec_bytes(strike_updated_) +
+         StateWriter::pod_vec_bytes(quarantine_release_) + 4 + 4 + 8 + 8 +
+         backoff_.size() * (4 + 4 + 4 + 4 + 8);
 }
 
 void ResiliencePolicy::load_state(StateReader& r) {

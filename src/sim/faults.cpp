@@ -123,6 +123,10 @@ bool FaultEngine::mark_up(ServerId server, FaultClass source) {
 
 void FaultEngine::save_state(StateWriter& w) const { w.pod_vec(down_mask_); }
 
+std::size_t FaultEngine::state_bytes_bound() const {
+  return StateWriter::pod_vec_bytes(down_mask_);
+}
+
 void FaultEngine::load_state(StateReader& r) {
   std::vector<std::uint8_t> mask;
   r.pod_vec(mask);

@@ -319,61 +319,66 @@ void RuntimeStore::save_state(StateWriter& w) const {
   w.pod_vec(phase_extents_);
 
   // Every slot's scalar record: a free slot keeps its finished state until
-  // reuse (active-list erase predicates read it).
+  // reuse (active-list erase predicates read it).  Each record below is
+  // one fixed-width fields() append, byte for byte the per-field layout
+  // load_state reads.
   w.u64(jobs_.size());
   for (const JobRuntime& job : jobs_) {
-    w.i32(job.id);
-    w.i64(job.arrival);
-    w.b(job.arrived);
-    w.b(job.finished);
-    w.i64(job.finish_slot);
-    w.i64(job.first_start);
-    w.i32(job.remaining_phases);
-    w.i32(job.clones_launched);
-    w.i32(job.speculative_launched);
-    w.f64(job.resource_seconds);
-    w.i32(job.tasks_with_clones);
-    w.i32(job.pending_events);
-    w.i64(job.ingest_seq);
+    w.fields(job.id, job.arrival, job.arrived, job.finished, job.finish_slot,
+             job.first_start, job.remaining_phases, job.clones_launched,
+             job.speculative_launched, job.resource_seconds, job.tasks_with_clones,
+             job.pending_events, job.ingest_seq);
   }
 
   w.u64(live.phases);
   for_each_live_run([&](const SlotRun& run) {
     for (std::size_t p = run.phase_begin; p < run.phase_end; ++p) {
       const PhaseRuntime& phase = phases_[p];
-      w.i32(phase.index);
-      w.i32(phase.remaining_tasks);
-      w.i32(phase.unfinished_parents);
-      w.b(phase.has_children);
-      w.i32(phase.unscheduled_tasks);
-      w.i32(phase.first_unscheduled_hint);
-      w.i32(phase.active_copies);
-      w.b(phase.finished);
-      w.i64(phase.finish_slot);
-      w.f64(phase.gang_penalty);
+      w.fields(phase.index, phase.remaining_tasks, phase.unfinished_parents,
+               phase.has_children, phase.unscheduled_tasks, phase.first_unscheduled_hint,
+               phase.active_copies, phase.finished, phase.finish_slot, phase.gang_penalty);
       // spec pointer and speedup are rebuilt from the job's spec on load;
       // tasks/duration_pool spans from the extents.
     }
   });
 
+  // A task is its ref and demand records and replica list, its scalars,
+  // then one size-prefixed record per copy.
+  constexpr std::uint32_t kRefSize = StateWriter::pod_size<TaskRef>;
+  constexpr std::uint32_t kDemandSize = StateWriter::pod_size<Resources>;
+  constexpr std::uint32_t kReplicaSize = StateWriter::pod_size<ServerId>;
+  constexpr std::uint32_t kCopySize = StateWriter::pod_size<CopyRuntime>;
   w.u64(live.tasks);
   for_each_live_run([&](const SlotRun& run) {
     for (const TaskRuntime& task :
          std::span(tasks_.data() + run.task_begin, tasks_.data() + run.task_end)) {
-      w.pod(task.ref);
-      w.pod(task.demand);
-      w.pod_vec(task.block.replicas);
-      w.b(task.finished);
-      w.b(task.ever_cloned);
-      w.i64(task.finish_slot);
-      w.i64(task.first_start);
-      w.f64(task.work_done_seconds);
-      w.i64(task.work_updated_at);
-      w.u32(task.generation);
-      w.u32(static_cast<std::uint32_t>(task.copies.size()));
-      for (const CopyRuntime& copy : task.copies) w.pod(copy);
+      const std::vector<ServerId>& replicas = task.block.replicas;
+      w.fields(kRefSize, task.ref, kDemandSize, task.demand, kReplicaSize,
+               std::uint64_t{replicas.size()});
+      w.bytes(replicas.data(), replicas.size() * sizeof(ServerId));
+      w.fields(task.finished, task.ever_cloned, task.finish_slot, task.first_start,
+               task.work_done_seconds, task.work_updated_at, task.generation,
+               static_cast<std::uint32_t>(task.copies.size()));
+      for (const CopyRuntime& copy : task.copies) w.fields(kCopySize, copy);
     }
   });
+}
+
+std::size_t RuntimeStore::state_bytes_bound(std::size_t replicas_per_task) const {
+  // Wire sizes of the records save_state writes: a job's scalars, a
+  // phase's scalars, a task's ref/demand/replica-list headers and scalars,
+  // and one size-prefixed copy record.
+  constexpr std::size_t kJobBytes = 4 + 8 + 1 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 4 + 4 + 8;
+  constexpr std::size_t kPhaseBytes = 4 + 4 + 4 + 1 + 4 + 4 + 4 + 1 + 8 + 8;
+  constexpr std::size_t kTaskBytes = (4 + sizeof(TaskRef)) + (4 + sizeof(Resources)) +
+                                     (4 + 8) + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4;
+  constexpr std::size_t kCopyBytes = 4 + sizeof(CopyRuntime);
+  const LiveCounts live = live_counts();
+  return 4 + 8 + live.pool * sizeof(double) + StateWriter::pod_vec_bytes(job_extents_) +
+         StateWriter::pod_vec_bytes(phase_extents_) + 8 + jobs_.size() * kJobBytes + 8 +
+         live.phases * kPhaseBytes + 8 +
+         live.tasks * (kTaskBytes + replicas_per_task * sizeof(ServerId)) +
+         slab_.counters().copies_capacity * kCopyBytes;
 }
 
 void RuntimeStore::size_from_extents() {
@@ -416,8 +421,10 @@ void RuntimeStore::size_from_extents() {
   durations_.resize(static_cast<std::size_t>(next_pool));
 }
 
-void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>& specs,
-                              const std::vector<std::uint32_t>& free) {
+std::size_t RuntimeStore::load_state(StateReader& r,
+                                     const std::vector<const JobSpec*>& specs,
+                                     const std::vector<std::uint32_t>& free,
+                                     std::size_t server_count) {
   r.section(0x53544F52u);  // 'STOR'
   clear();
   // The packed live pools are copied to their extents once those are read
@@ -511,6 +518,7 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
   if (r.u64() != live.tasks) {
     throw std::runtime_error("snapshot: runtime-store task count mismatch");
   }
+  std::size_t active_copies = 0;
   for_each_live_run([&](const SlotRun& run) {
     for (TaskRuntime& task :
          std::span(tasks_.data() + run.task_begin, tasks_.data() + run.task_end)) {
@@ -529,6 +537,12 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
       for (std::uint32_t c = 0; c < copies; ++c) {
         CopyRuntime copy;
         r.pod(copy);
+        // Every recorded copy was placed, so it names a real server.
+        if (copy.server < 0 || static_cast<std::size_t>(copy.server) >= server_count) {
+          throw std::runtime_error("snapshot: copy server " + std::to_string(copy.server) +
+                                   " is outside [0, " + std::to_string(server_count) + ")");
+        }
+        active_copies += copy.active ? 1 : 0;
         task.copies.push_back(copy);  // re-acquires a slab extent; layout not semantic
       }
     }
@@ -552,6 +566,7 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
     }
     release_job(slot);
   }
+  return active_copies;
 }
 
 std::size_t RuntimeStore::memory_bytes() const {

@@ -43,6 +43,24 @@ void save_job_spec(StateWriter& w, const JobSpec& spec) {
   }
 }
 
+/// Bytes save_job_spec appends for `spec`.
+std::size_t job_spec_bytes(const JobSpec& spec) {
+  std::size_t bytes = 4 + StateWriter::str_bytes(spec.name) +
+                      StateWriter::str_bytes(spec.app) + 8 + 8;
+  for (const PhaseSpec& ps : spec.phases) {
+    bytes += StateWriter::str_bytes(ps.name) + 4 + (4 + sizeof(Resources)) + 8 + 8 + 1 +
+             StateWriter::pod_vec_bytes(ps.parents);
+  }
+  return bytes;
+}
+
+/// Room for the core's fixed-width fields (scalars, RNG words, section
+/// tags, flags and size words: under 1 KB besides the SimStats record) and
+/// for a caller's small tail written after the core, such as the service
+/// session's overload state (about 4.2 KB with the default 512-sample SLO
+/// window).
+constexpr std::size_t kStateSlackBytes = 8 * 1024;
+
 /// Smallest encoding save_job_spec gives one phase: empty name, task
 /// count, demand record, theta, sigma, gang flag, empty parent list.
 constexpr std::size_t kMinPhaseBytes = 8 + 4 + (4 + sizeof(Resources)) + 8 + 8 + 1 + (4 + 8);
@@ -1158,7 +1176,28 @@ void SimCore::sample_utilization() {
 
 // ---- checkpoint / restore --------------------------------------------------
 
+std::size_t SimCore::state_bytes_bound() const {
+  std::size_t specs = 0;
+  for (const JobRuntime& job : jobs_) {
+    if (job.spec != nullptr) specs += job_spec_bytes(*job.spec);
+  }
+  const std::size_t replicas =
+      config_.locality.enabled ? static_cast<std::size_t>(config_.locality.replicas) : 0;
+  // The slack, then the variable-size parts in stream order: cluster,
+  // fault masks, background, free-slot list, live specs, store, arrival
+  // and active lists, heap events, recycled ids, scheduler blob.
+  return kStateSlackBytes + sizeof(SimStats) + cluster_.state_bytes_bound() +
+         (faults_ ? faults_->state_bytes_bound() : 0) + background_.state_bytes_bound() +
+         (4 + 8 + 4 * store_.free_slot_count()) + specs + store_.state_bytes_bound(replicas) +
+         4 * (arrival_order_.size() - next_arrival_) + 4 * active_.size() +
+         events_.size() * (4 + sizeof(SimEvent)) +
+         StateWriter::pod_vec_bytes(recycled_) + scheduler_->state_bytes_bound();
+}
+
 void SimCore::save_state(StateWriter& w) const {
+  // One allocation for the whole checkpoint: a buffer grown by doubling
+  // would copy the payload about log2(size) times.
+  w.reserve(state_bytes_bound());
   w.section(kTagCore);
   w.i64(now_);
   w.b(first_visit_);
@@ -1200,9 +1239,8 @@ void SimCore::save_state(StateWriter& w) const {
 
   w.section(kTagArrivals);
   w.u64(arrival_order_.size() - next_arrival_);
-  for (std::size_t i = next_arrival_; i < arrival_order_.size(); ++i) {
-    w.i32(arrival_order_[i]);
-  }
+  w.bytes(arrival_order_.data() + next_arrival_,
+          (arrival_order_.size() - next_arrival_) * sizeof(std::int32_t));
   w.u64(active_.size());
   for (const JobRuntime* j : active_) {
     w.i32(static_cast<std::int32_t>(j - jobs_.data()));
@@ -1356,7 +1394,12 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
       specs[i] = &owned_specs_.back();
     }
   }
-  store_.load_state(r, specs, free);
+  const std::size_t active_copies = store_.load_state(r, specs, free, cluster_.size());
+  if (static_cast<long long>(active_copies) != active_copy_count_) {
+    throw std::runtime_error("snapshot: " + std::to_string(active_copies) +
+                             " active copies restored, but the core counts " +
+                             std::to_string(active_copy_count_));
+  }
 
   r.section(kTagArrivals);
   const auto job_index = [&](const char* what) {

@@ -462,7 +462,8 @@ TEST(RuntimeStore, FreeSlotCheckpointBytesAreIndependentOfShape) {
   std::vector<const JobSpec*> slot_specs(specs.size(), nullptr);
   slot_specs[0] = &specs[0];
   RuntimeStore restored;
-  restored.load_state(r, slot_specs, original.free_slots());
+  EXPECT_EQ(restored.load_state(r, slot_specs, original.free_slots(), cluster.size()), 0u)
+      << "no copy was ever placed";
   r.expect_done();
   EXPECT_EQ(restored.free_slots(), original.free_slots());
   EXPECT_EQ(sealed(restored), bytes);

@@ -431,6 +431,8 @@ struct SlotLayout {
   std::size_t job_extents_at = 0;   ///< first JobExtent {phase_begin, phase_count}
   std::size_t phase_extents_at = 0; ///< first PhaseExtent {task_begin, task_count, ...}
   std::size_t jobs_at = 0;          ///< first JobRuntime scalar record
+  std::size_t tasks_at = 0;         ///< first live task record
+  std::uint64_t tasks = 0;          ///< live task records
 };
 
 /// JobRuntime scalar record: id, arrival, arrived, finished, finish and
@@ -439,6 +441,10 @@ struct SlotLayout {
 constexpr std::size_t kJobRecordBytes = 4 + 8 + 1 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 4 + 4 + 8;
 constexpr std::size_t kJobFinishedAt = 4 + 8 + 1;
 constexpr std::size_t kJobPendingEventsAt = 4 + 8 + 1 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 4;
+/// PhaseRuntime scalar record: index, remaining tasks, unfinished parents,
+/// has-children, unscheduled tasks, hint, active copies, finished, finish
+/// slot, gang penalty.
+constexpr std::size_t kPhaseRecordBytes = 4 + 4 + 4 + 1 + 4 + 4 + 4 + 1 + 8 + 8;
 
 SlotLayout slot_layout(const std::vector<std::uint8_t>& payload) {
   SlotLayout layout;
@@ -466,7 +472,38 @@ SlotLayout slot_layout(const std::vector<std::uint8_t>& payload) {
     throw std::logic_error("job-record offset is off");
   }
   layout.jobs_at = jobs_count_at + 8;
+  const std::size_t live_phases_at = layout.jobs_at + kJobRecordBytes * layout.slots;
+  const std::size_t live_tasks_at =
+      live_phases_at + 8 + kPhaseRecordBytes * get_u64(payload, live_phases_at);
+  layout.tasks = get_u64(payload, live_tasks_at);
+  layout.tasks_at = live_tasks_at + 8;
   return layout;
+}
+
+/// Offset of the raw CopyRuntime bytes of the first restored copy whose
+/// `active` flag equals `active`.  A task record is its ref and demand pod
+/// records, its replica list, 38 bytes of scalars, a u32 copy count and
+/// the size-prefixed copy records.
+std::size_t find_copy(const std::vector<std::uint8_t>& payload, const SlotLayout& layout,
+                      bool active) {
+  std::size_t at = layout.tasks_at;
+  for (std::uint64_t t = 0; t < layout.tasks; ++t) {
+    at += (4 + sizeof(TaskRef)) + (4 + sizeof(Resources));
+    at += 4 + 8 + sizeof(ServerId) * get_u64(payload, at + 4);
+    at += 1 + 1 + 8 + 8 + 8 + 8 + 4;
+    const std::uint32_t copies = get_u32(payload, at);
+    at += 4;
+    for (std::uint32_t c = 0; c < copies; ++c) {
+      if (get_u32(payload, at) != sizeof(CopyRuntime)) {
+        throw std::logic_error("copy-record offset is off");
+      }
+      const std::size_t copy_at = at + 4;
+      const bool copy_active = payload.at(copy_at + offsetof(CopyRuntime, active)) != 0;
+      if (copy_active == active) return copy_at;
+      at = copy_at + sizeof(CopyRuntime);
+    }
+  }
+  throw std::logic_error("no matching copy record");
 }
 
 /// Offset of the raw SimEvent bytes of the first pending heap event whose
@@ -632,6 +669,19 @@ TEST(ServiceCheckpoint, ResealedHugeCountsAndBadIndicesThrowTypedErrors) {
     put_i32(bad, tasks_at, static_cast<std::int32_t>(get_u32(payload, tasks_at) + 1));
     expect_snapshot_error(bad, config, "dollymp_service_spec_shape.ckpt",
                           "task extent mismatch");
+  }
+  {
+    // A restored copy naming the server one past the cluster, and an active
+    // copy restored inactive (the core's active-copy count disagrees).
+    auto bad = payload;
+    const std::size_t copy_at = find_copy(payload, layout, /*active=*/true);
+    put_i32(bad, copy_at + offsetof(CopyRuntime, server),
+            static_cast<std::int32_t>(Cluster::paper30().size()));
+    expect_snapshot_error(bad, config, "dollymp_service_copy_server.ckpt", "copy server");
+    bad = payload;
+    bad.at(copy_at + offsetof(CopyRuntime, active)) = 0;
+    expect_snapshot_error(bad, config, "dollymp_service_copy_count.ckpt",
+                          "active copies restored");
   }
   {
     // A pending machine event naming the server one past the cluster.
